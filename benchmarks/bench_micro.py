@@ -2,11 +2,13 @@
 
 Measures the knobs DESIGN.md calls out: machine step throughput, the cost
 of race detection, the cost of event/ghost instrumentation, view-join
-cost, exploration throughput, the parallel engine's serial-vs-N-workers
-scaling, and the sleep-set DPOR tree reduction.  Most are true
-repeated-timing benchmarks (pytest-benchmark statistics apply); the
-scaling and reduction rows are single timed runs recorded — via
-``bench_record`` — into ``BENCH_micro.json`` at the repo root.
+cost, exploration throughput, the sleep-set DPOR tree reduction, and
+what the engine's robustness layers cost.  Most are true repeated-timing
+benchmarks (pytest-benchmark statistics apply); the reduction and
+overhead rows are single timed runs recorded — via ``bench_record`` —
+into ``BENCH_micro.json`` at the repo root.  Engine and distributed
+scaling are measured on real campaigns by ``campaignbench/`` (its
+pool-capped and dist-exhaustive workloads).
 """
 
 import os
@@ -226,122 +228,7 @@ class TestModelMatrix:
                "\n".join(rows))
 
 
-class TestEngineScaling:
-    def test_serial_vs_parallel_throughput(self, report, bench_record):
-        """Serial-vs-N-workers executions/sec on one exhaustive scenario.
-
-        The same decision tree (ms-queue/ra, 3 threads x 1 op: ~9.5k
-        executions) is enumerated serially and through the sharded engine
-        at 2 and 4 workers; the telemetry counters give the throughput
-        row.  The >1.5x speedup assertion only applies on machines with
-        at least 4 cores — on fewer cores the row is still printed so the
-        overhead of sharding is visible.
-        """
-        from repro.engine import (EngineParams, ScenarioSpec,
-                                  build_scenario, run_scenario)
-
-        spec = ScenarioSpec("mixed-stress",
-                            kwargs={"impl": "ms-queue/ra", "threads": 3,
-                                    "ops": 1, "seed": 0})
-        scenario = build_scenario(spec)
-        rates = {}
-        execs = {}
-        rows = []
-        for workers in (1, 2, 4):
-            params = EngineParams(styles=(), exhaustive=True,
-                                  max_steps=400, max_executions=100_000,
-                                  workers=workers)
-            result = run_scenario(scenario, params, spec=spec)
-            t = result.telemetry
-            rates[workers] = t.executions_per_sec
-            execs[workers] = result.report.executions
-            rows.append(
-                f"workers={workers}: {t.executions:>6} exec in "
-                f"{t.wall_seconds:6.2f}s = {t.executions_per_sec:>8,.0f}"
-                f" exec/s ({t.shards_done} shards)"
-                + (f"  [{rates[workers] / rates[1]:.2f}x vs serial]"
-                   if workers > 1 else ""))
-        # Sharded enumerations cover exactly the serial tree.
-        assert execs[2] == execs[1] and execs[4] == execs[1]
-        cores = os.cpu_count() or 1
-        bench_record("engine-scaling", scenario=scenario.name, cores=cores,
-                     executions=execs[1],
-                     exec_per_sec={str(w): round(rates[w], 1)
-                                   for w in rates})
-        report(f"E9 engine scaling — {scenario.name} ({cores} cores)",
-               "\n".join(rows))
-        if cores >= 4:
-            assert rates[4] / rates[1] > 1.5
-
-    def test_dist_scaling(self, report, bench_record):
-        """Coordinator + N localhost nodes vs the serial run.
-
-        The same exhaustive tree (ms-queue/ra, 3 threads x 1 op) is
-        enumerated through the distributed layer with one and two worker
-        node *processes* on localhost.  The merged counts must equal the
-        serial run exactly — the throughput row then shows what the
-        lease/TCP round-trips cost (and recover, with a second core)
-        relative to the in-process pool.
-        """
-        import multiprocessing
-        import threading
-
-        from repro.engine import (EngineParams, ScenarioSpec,
-                                  build_scenario, run_scenario)
-        from repro.engine.chaos import _dist_node_main
-        from repro.engine.dist import Coordinator, DistParams
-
-        spec = ScenarioSpec("mixed-stress",
-                            kwargs={"impl": "ms-queue/ra", "threads": 3,
-                                    "ops": 1, "seed": 0})
-        scenario = build_scenario(spec)
-        base = dict(styles=(), exhaustive=True, max_steps=400,
-                    max_executions=100_000)
-        serial = run_scenario(scenario, EngineParams(**base), spec=spec)
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn")
-        rates = {0: serial.telemetry.executions_per_sec}
-        rows = [f"serial : {serial.report.executions:>6} exec = "
-                f"{rates[0]:>8,.0f} exec/s"]
-        for nodes in (1, 2):
-            coord = Coordinator(
-                EngineParams(target_shards=8, **base), spec,
-                DistParams(lease_seconds=30.0, node_wait_seconds=30.0,
-                           tick=0.05))
-            box = {}
-            serve = threading.Thread(
-                target=lambda c=coord, b=box: b.update(result=c.serve()),
-                daemon=True)
-            serve.start()
-            procs = [ctx.Process(target=_dist_node_main,
-                                 args=(coord.host, coord.port, f"b{i}"),
-                                 daemon=True) for i in range(nodes)]
-            for proc in procs:
-                proc.start()
-            serve.join(timeout=120.0)
-            for proc in procs:
-                proc.join(timeout=10.0)
-            assert "result" in box, "coordinator never settled"
-            result = box["result"]
-            assert result.report.executions == serial.report.executions
-            assert result.report.steps == serial.report.steps
-            t = result.telemetry
-            rates[nodes] = t.executions_per_sec
-            rows.append(
-                f"{nodes} node{'s' if nodes > 1 else ' '}: "
-                f"{t.executions:>6} exec in {t.wall_seconds:6.2f}s = "
-                f"{t.executions_per_sec:>8,.0f} exec/s "
-                f"[{rates[nodes] / rates[0]:.2f}x vs serial]")
-        cores = os.cpu_count() or 1
-        bench_record("dist-scaling", scenario=scenario.name, cores=cores,
-                     executions=serial.report.executions,
-                     exec_per_sec={"serial": round(rates[0], 1),
-                                   "nodes-1": round(rates[1], 1),
-                                   "nodes-2": round(rates[2], 1)})
-        report(f"E9 distributed scaling — {scenario.name} "
-               f"({cores} cores)", "\n".join(rows))
-
+class TestEngineOverhead:
     def test_hedge_audit_overhead(self, report, bench_record):
         """What arming hedging + a 10% audit costs a clean 2-worker run.
 

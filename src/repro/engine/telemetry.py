@@ -2,8 +2,9 @@
 
 The reporter is driven by the engine's completion loop (one call per
 finished shard) and prints throttled progress lines to stderr — the
-``--progress`` flag on the CLI.  The same counters back the scaling row
-in ``benchmarks/bench_micro.py`` through `TelemetrySummary`.
+``--progress`` flag on the CLI.  The same counters reach callers as a
+`TelemetrySummary` (the engine overhead benches in
+``benchmarks/bench_micro.py`` read their wall times from it).
 """
 
 from __future__ import annotations

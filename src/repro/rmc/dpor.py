@@ -12,15 +12,17 @@ provably preserving the set of reachable final states — see
 The pieces:
 
 * :func:`independent` — a conservative commutation check over the
-  operation footprints (`repro.rmc.ops.Footprint`) the machine computes
-  for every enabled thread before each scheduling decision;
+  operation footprints (`repro.rmc.ops.Footprint`) the machine hands the
+  decider for every enabled thread at each scheduling decision;
 * :class:`SleepSetDecider` — a `repro.rmc.scheduler.Decider` that follows
   a prefix and then descends leftmost-*awake*, maintaining the sleep set
   along the path and aborting the replay (:class:`SleepSetCut`) when
   every enabled thread is asleep;
 * :func:`explore_all_dpor` — the drop-in replacement for ``explore_all``:
   the same stateless replay loop, backtracking only to awake siblings and
-  counting every skipped branch in :class:`DporStats`.
+  counting every skipped branch in :class:`DporStats`.  Each replay
+  inherits the previous replay's footprints and entry sleep sets for the
+  prefix the two share, so only the new suffix does DPOR work.
 
 Sleep sets are a *path* property: the sleep set at any node is a pure
 function of the decisions leading to it.  That is what makes the
@@ -138,6 +140,12 @@ class SleepSetDecider(Decider):
     the backtracking sweep in :func:`explore_all_dpor` and the shard
     planner (`repro.engine.shard.plan_exhaustive_shards_dpor`) consume.
 
+    Both are pure functions of the decisions above the node, so when
+    :func:`explore_all_dpor` hands over the previous replay's records
+    for the shared prefix (`_reuse`), the first ``reused`` decisions
+    just follow the prefix: no footprint is fetched and no sleep set is
+    built until the last of them derives its child's sleep set.
+
     ``pin`` is the length of the shard-root prefix: ``entry_sleep`` is
     installed as the sleep set at node ``pin`` (the shard root), and
     decisions above it belong to the stem — never backtracked, their
@@ -164,13 +172,38 @@ class SleepSetDecider(Decider):
         self.entry_sleeps: List[Dict[int, Footprint]] = []
         #: Branches skipped during this replay's descent.
         self.pruned = 0
+        #: Leading decisions whose records came from the previous replay.
+        self.reused = 0
+
+    def _reuse(self, prev: "SleepSetDecider") -> None:
+        """Take ``prev``'s records for the nodes this prefix shares.
+
+        The prefix agrees with ``prev``'s trace on every decision but its
+        last, so the footprints and entry sleep set at each of its
+        ``len(prefix)`` nodes are the ones ``prev`` recorded.
+        """
+        m = len(self.prefix)
+        self.footprints = prev.footprints[:m]
+        self.entry_sleeps = prev.entry_sleeps[:m]
+        self.reused = m
 
     def choose(self, n: int, footprints=None) -> int:
         if n <= 0:
             raise ValueError("decision with no alternatives")
         i = len(self.trace)
+        if i < self.reused:
+            c = min(self.prefix[i], n - 1)
+            if i == self.reused - 1:
+                # The new sibling: derive its child's sleep set (a
+                # reused prefix always ends at or below the shard root).
+                f, entry = self.footprints[i], self.entry_sleeps[i]
+                self.sleep = entry if f is None else child_sleep(f, c, entry)
+            self.trace.append((n, c))
+            return c
         if i == self.pin and self.pin:
             self.sleep = dict(self.entry)
+        if footprints is not None:
+            footprints = footprints()
         self.footprints.append(footprints)
         self.entry_sleeps.append(self.sleep)
         if footprints is None:
@@ -281,13 +314,22 @@ def explore_all_dpor(
     hook: `repro.engine.shard.plan_exhaustive_shards_dpor` computes
     matching (prefix, sleep) pairs so that disjoint shards concatenate,
     in prefix order, to exactly the ``prefix=()`` enumeration.
+
+    Every replay after the first reuses the previous replay's footprints
+    and entry sleep sets for the prefix they share
+    (`SleepSetDecider._reuse`).  Each replay still gets a fresh decider
+    and trace list: ``ExecutionResult.trace`` aliases the decider's
+    trace, and consumers keep it.
     """
     base = list(prefix)
     entry = {fp.thread: fp for fp in sleep}
     cur: List[int] = list(base)
     executions = 0
+    prev: Optional[SleepSetDecider] = None
     while executions < max_executions:
         decider = SleepSetDecider(cur, pin=len(base), entry_sleep=entry)
+        if prev is not None:
+            decider._reuse(prev)
         try:
             result = factory().run(decider, max_steps=max_steps,
                                    race_detection=race_detection,
@@ -303,3 +345,4 @@ def explore_all_dpor(
         if nxt is None:
             return
         cur = nxt
+        prev = decider

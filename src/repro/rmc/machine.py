@@ -30,24 +30,28 @@ the default ``"orc11"`` model is exactly the semantics described above.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from .memory import Memory
 from .message import Message
 from .modes import FENCE_MODES, Mode, READ_MODES, RMW_MODES, WRITE_MODES
-from .ops import (Alloc, Cas, Faa, Fence, GhostCommit, Load, Op, Store,
-                  Xchg, op_footprint)
+from .ops import (Alloc, Cas, Faa, Fence, Footprint, GhostCommit, Load, Op,
+                  Store, Xchg, op_footprint)
 from .races import RaceError, SteppingError
 from .scheduler import Decider
 from .view import EMPTY_VIEW, View
 
 
 class ThreadState:
-    """Mutable per-thread machine state."""
+    """Mutable per-thread machine state.
+
+    ``footprint`` caches the footprint of ``pending`` (None until a
+    footprint-wanting decider asks, and again after every `_advance`).
+    """
 
     __slots__ = (
         "tid", "gen", "view", "rel_view", "acq_cache",
-        "clock", "tau", "finished", "retval", "pending",
+        "clock", "tau", "finished", "retval", "pending", "footprint",
     )
 
     def __init__(self, tid: int, gen: Generator, tau: int):
@@ -61,6 +65,7 @@ class ThreadState:
         self.finished = False
         self.retval: Any = None
         self.pending: Optional[Op] = None
+        self.footprint: Optional[Footprint] = None
 
 
 class CommitCtx:
@@ -156,6 +161,7 @@ class Machine:
         try:
             for th in self.threads:
                 self._advance(th, None)  # prime: run to the first yield
+            wants_footprints = self.decider.wants_footprints
             while True:
                 enabled = [t.tid for t in self.threads if not t.finished]
                 if not enabled:
@@ -163,12 +169,9 @@ class Machine:
                 if self.steps >= self.max_steps:
                     truncated = True
                     break
-                if self.decider.wants_footprints:
-                    fps = tuple(
-                        op_footprint(t, self.threads[t].pending,
-                                     self.sc_upgrade,
-                                     model=self.model) for t in enabled)
-                    tid = self.decider.choose_thread(enabled, fps)
+                if wants_footprints:
+                    tid = self.decider.choose_thread(
+                        enabled, lambda e=enabled: self._footprints(e))
                 else:
                     tid = self.decider.choose_thread(enabled)
                 self._step(self.threads[tid])
@@ -184,7 +187,25 @@ class Machine:
             trace=self.decider.trace,
         )
 
+    def _footprints(self, enabled: Sequence[int]) -> Tuple[Footprint, ...]:
+        """The footprints of the ``enabled`` threads' pending operations.
+
+        A footprint is a pure function of the pending op, the model and
+        ``sc_upgrade``, so each is computed at most once per pending op
+        and cached on its thread until `_advance` replaces the op.
+        """
+        out = []
+        for tid in enabled:
+            th = self.threads[tid]
+            fp = th.footprint
+            if fp is None:
+                fp = th.footprint = op_footprint(
+                    tid, th.pending, self.sc_upgrade, model=self.model)
+            out.append(fp)
+        return tuple(out)
+
     def _advance(self, th: ThreadState, send_value: Any) -> None:
+        th.footprint = None
         try:
             th.pending = th.gen.send(send_value)
         except StopIteration as stop:

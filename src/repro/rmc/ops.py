@@ -143,9 +143,10 @@ Op = Any  # union of the above, kept loose for speed
 class Footprint:
     """What one pending operation can touch, as seen by the scheduler.
 
-    The machine computes a footprint for every enabled thread's *pending*
-    operation before each scheduling decision (threads yield their next
-    op before being scheduled, so the footprint is known ahead of time).
+    The machine computes the footprint of a thread's *pending* operation
+    when a DPOR decider first asks for it at a scheduling decision, and
+    caches it until the operation executes (threads yield their next op
+    before being scheduled, so the footprint is known ahead of time).
     The partial-order-reduction layer (`repro.rmc.dpor`) decides from two
     footprints alone whether the corresponding steps commute.
 

@@ -26,9 +26,10 @@ Choice = Tuple[int, int]  # (arity, chosen)
 class Decider:
     """Base class; subclasses override :meth:`_choose`."""
 
-    #: Deciders that set this ask the machine to compute per-branch
-    #: operation footprints (`repro.rmc.ops.op_footprint`) for every
-    #: scheduling decision — the DPOR hook (`repro.rmc.dpor`).
+    #: Deciders that set this are handed, at every scheduling decision,
+    #: a getter for the per-branch operation footprints
+    #: (`repro.rmc.ops.op_footprint`) — the DPOR hook (`repro.rmc.dpor`).
+    #: The machine computes footprints only when the getter is called.
     wants_footprints = False
 
     def __init__(self) -> None:
@@ -42,7 +43,8 @@ class Decider:
 
         ``footprints`` is only supplied (and only meaningful) for
         scheduling decisions when :attr:`wants_footprints` is set: a
-        tuple of one `repro.rmc.ops.Footprint` per branch.
+        zero-argument callable returning a tuple of one
+        `repro.rmc.ops.Footprint` per branch.
         """
         if n <= 0:
             raise ValueError("decision with no alternatives")

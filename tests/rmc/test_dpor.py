@@ -2,6 +2,8 @@
 equivalence suite (DPOR-on vs DPOR-off must agree on every observable
 verdict while exploring fewer interleavings)."""
 
+import random
+
 import pytest
 
 from repro.checking import check_scenario
@@ -9,10 +11,13 @@ from repro.core import SpecStyle
 from repro.engine import (ScenarioSpec, Shard, build_scenario, iter_shard,
                           plan_exhaustive_shards_dpor, stats_from_json,
                           stats_to_json)
-from repro.rmc import (ACQ, NA, RLX, SC, Alloc, Cas, Fence, Footprint,
-                       GhostCommit, Load, Program, Store, explore_all,
-                       explore_all_dpor, op_footprint)
-from repro.rmc.dpor import DporStats, independent
+from repro.rmc import (ACQ, NA, RLX, SC, Alloc, Cas, Decider, Fence,
+                       Footprint, GhostCommit, Load, Machine, Program,
+                       RandomDecider, SleepSetCut, SleepSetDecider, Store,
+                       explore_all, explore_all_dpor, op_footprint)
+from repro.rmc import dpor
+from repro.rmc import machine as machine_mod
+from repro.rmc.dpor import DporStats, _next_prefix, independent
 from repro.rmc.explore import RACE_TRACE_CAP, ExplorationStats
 from repro.rmc.litmus import CATALOGUE, na_publication, outcomes
 from tests.engine._support import assert_reports_equal, hw_spec, vyukov_spec
@@ -358,3 +363,197 @@ class TestShardDporPerModel:
             factory = CATALOGUE[name]
             assert outcomes(factory, dpor=True, model=model) == \
                 outcomes(factory, dpor=False, model=model), (name, model)
+
+
+# ----------------------------------------------------------------------
+# Replay-prefix reuse and the per-thread footprint cache
+# ----------------------------------------------------------------------
+
+def msqueue_factory(seed):
+    """mixed-stress ms-queue/ra, 3 threads x 2 ops: far too big to exhaust."""
+    return build_scenario(ScenarioSpec(
+        "mixed-stress", kwargs={"impl": "ms-queue/ra", "threads": 3,
+                                "ops": 2, "seed": seed})).factory
+
+
+def vyukov_t2xo2_factory():
+    """mixed-stress vyukov-queue/rlx, 2 threads x 2 ops: 6422 executions."""
+    return build_scenario(ScenarioSpec(
+        "mixed-stress", kwargs={"impl": "vyukov-queue/rlx", "threads": 2,
+                                "ops": 2, "seed": 0})).factory
+
+
+def replay_record(decider):
+    """What one replay leaves behind for backtracking and telemetry."""
+    return (list(decider.trace), list(decider.footprints),
+            list(decider.entry_sleeps), decider.pruned)
+
+
+def reference_replays(factory, max_steps=2_000, max_executions=200_000,
+                      prefix=(), sleep=(), sc_upgrade=False, model=None):
+    """The replay loop without prefix reuse: a fresh `SleepSetDecider`
+    per replay that computes every footprint and sleep set itself."""
+    base = list(prefix)
+    entry = {fp.thread: fp for fp in sleep}
+    cur = list(base)
+    stats = DporStats()
+    replays = []
+    executions = 0
+    while executions < max_executions:
+        decider = SleepSetDecider(cur, pin=len(base), entry_sleep=entry)
+        try:
+            factory().run(decider, max_steps=max_steps,
+                          sc_upgrade=sc_upgrade, model=model)
+            executions += 1
+        except SleepSetCut:
+            pass
+        stats.pruned_subtrees += decider.pruned
+        replays.append(replay_record(decider))
+        nxt = _next_prefix(decider, len(base), stats)
+        if nxt is None:
+            break
+        cur = nxt
+    return replays, stats
+
+
+def reusing_replays(monkeypatch, factory, max_steps=2_000,
+                    max_executions=200_000, prefix=(), sleep=(),
+                    sc_upgrade=False, model=None):
+    """`explore_all_dpor`'s own replays, recorded decider by decider."""
+    deciders = []
+
+    class Recording(SleepSetDecider):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            deciders.append(self)
+
+    stats = DporStats()
+    with monkeypatch.context() as patch:
+        patch.setattr(dpor, "SleepSetDecider", Recording)
+        for _ in explore_all_dpor(factory, max_steps=max_steps,
+                                  max_executions=max_executions,
+                                  prefix=prefix, sleep=sleep, stats=stats,
+                                  sc_upgrade=sc_upgrade, model=model):
+            pass
+    assert sum(1 for d in deciders if d.reused) == len(deciders) - 1
+    return [replay_record(d) for d in deciders], stats
+
+
+def assert_reuse_equivalent(monkeypatch, factory, **kwargs):
+    want, want_stats = reference_replays(factory, **kwargs)
+    got, got_stats = reusing_replays(monkeypatch, factory, **kwargs)
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"replay {i} differs"
+    assert got_stats == want_stats
+
+
+class TestReplayPrefixReuse:
+    """Reusing the previous replay's prefix records changes no replay:
+    traces, footprints, entry sleep sets, pruned counts and `DporStats`
+    all equal the loop that rebuilds them on every replay."""
+
+    @pytest.mark.parametrize("model", ["sc", "tso", "ra", "orc11"])
+    def test_litmus_catalogue_per_model(self, monkeypatch, model):
+        for name in sorted(CATALOGUE):
+            assert_reuse_equivalent(monkeypatch, CATALOGUE[name],
+                                    model=model)
+
+    def test_litmus_catalogue_sc_upgrade(self, monkeypatch):
+        for name in sorted(CATALOGUE):
+            assert_reuse_equivalent(monkeypatch, CATALOGUE[name],
+                                    sc_upgrade=True)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_msqueue_capped(self, monkeypatch, seed):
+        assert_reuse_equivalent(monkeypatch, msqueue_factory(seed),
+                                max_steps=20_000, max_executions=500)
+
+    def test_vyukov_exhausted(self, monkeypatch):
+        assert_reuse_equivalent(monkeypatch, vyukov_t2xo2_factory(),
+                                max_steps=20_000)
+
+    def test_every_shard_root(self, monkeypatch):
+        cases = [(vyukov_t2xo2_factory(), 8, None)]
+        cases += [(CATALOGUE[name], 4, model)
+                  for name in TestShardDporPerModel.SHAPES
+                  for model in ("sc", "tso", "ra", "orc11")]
+        roots = 0
+        for factory, target, model in cases:
+            shards, _pruned = plan_exhaustive_shards_dpor(
+                factory, target=target, max_steps=20_000, model=model)
+            for shard in shards:
+                assert_reuse_equivalent(monkeypatch, factory,
+                                        max_steps=20_000,
+                                        prefix=shard.prefix,
+                                        sleep=shard.sleep, model=model)
+                roots += bool(shard.sleep)
+        assert roots  # some roots start with threads already asleep
+
+
+class FootprintAuditor(Decider):
+    """Random choices; at every scheduling decision, fetches the
+    machine's footprints and compares each with a fresh `op_footprint`."""
+
+    wants_footprints = True
+
+    def __init__(self, seed, sc_upgrade, model):
+        super().__init__()
+        self.rng = random.Random(seed)
+        self.sc_upgrade = sc_upgrade
+        self.model = model
+        self.machine = None
+        self.audited = 0
+
+    def choose(self, n, footprints=None):
+        if footprints is not None:
+            threads = self.machine.threads
+            enabled = [t.tid for t in threads if not t.finished]
+            assert len(enabled) == n
+            want = tuple(op_footprint(tid, threads[tid].pending,
+                                      self.sc_upgrade, self.model)
+                         for tid in enabled)
+            assert footprints() == want
+            self.audited += 1
+        return super().choose(n)
+
+    def _choose(self, n):
+        return self.rng.randrange(n)
+
+
+class TestFootprintCache:
+    """The per-thread footprint cache never goes stale, and deciders that
+    do not want footprints cost none."""
+
+    @pytest.mark.parametrize("model,sc_upgrade",
+                             [("orc11", False), ("tso", False),
+                              ("orc11", True)])
+    def test_cached_footprints_match_fresh(self, model, sc_upgrade):
+        factories = [CATALOGUE[name] for name in sorted(CATALOGUE)]
+        factories += [msqueue_factory(0), vyukov_t2xo2_factory()]
+        audited = 0
+        for factory in factories:
+            for seed in range(20):
+                decider = FootprintAuditor(seed, sc_upgrade, model)
+                machine = Machine(factory(), decider, max_steps=20_000,
+                                  sc_upgrade=sc_upgrade, model=model)
+                decider.machine = machine
+                machine.run()
+                audited += decider.audited
+        assert audited > 1_000
+
+    def test_random_decider_computes_no_footprint(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return op_footprint(*args, **kwargs)
+
+        monkeypatch.setattr(machine_mod, "op_footprint", counting)
+        factory = msqueue_factory(0)
+        for seed in range(5):
+            factory().run(RandomDecider(seed), max_steps=20_000)
+        assert calls == []
+        # The patch point is live: a DPOR replay does compute footprints.
+        next(explore_all_dpor(factory, max_steps=20_000))
+        assert calls
