@@ -313,9 +313,10 @@ def check_scenario(
     pool and the per-shard partial reports are merged back —
     byte-for-byte equal to the serial run, modulo ``seconds``.  ``spec``
     optionally names the scenario in the engine's builder registry so
-    corpus entries stay replayable across processes; in exhaustive
-    parallel mode ``max_executions`` bounds each shard rather than the
-    whole run.
+    corpus entries stay replayable across processes.  However the run
+    is sharded, ``max_executions`` caps the whole run: the merge keeps
+    the first ``max_executions`` executions in shard order, exactly the
+    ones the serial run checks.
 
     ``shard_seconds``/``run_seconds``/``max_rss_mb`` are graceful
     degradation budgets (see ``docs/robustness.md``): on breach the run

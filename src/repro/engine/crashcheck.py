@@ -185,7 +185,7 @@ def record_workload(workdir: str) -> WorkloadFacts:
         acked[job.job_id] = len(trace.ops) - 1
         store.mark_running(job.job_id)
 
-        shards, planner_pruned = plan_shards_ex(scenario, params)
+        shards, planner_gaps = plan_shards_ex(scenario, params)
         fingerprint = run_fingerprint(scenario.name, spec,
                                       params.fingerprint_json(), shards)
         writer = CheckpointWriter(params.checkpoint_path, fingerprint)
@@ -203,8 +203,8 @@ def record_workload(workdir: str) -> WorkloadFacts:
             writer.write_shard(sid, report, entries)
             reporter.on_shard_done(sid, 0, report.executions,
                                    report.steps, report.pruned_subtrees)
-        result = finalize_run(scenario.name, params, shards,
-                              planner_pruned, results, set(), reporter,
+        result = finalize_run(scenario, spec, params, shards,
+                              planner_gaps, results, set(), reporter,
                               writer)
         vfs_mod.atomic_write_text(
             os.path.join(workdir, "report.json"),

@@ -16,6 +16,11 @@ requeued to another node with the dead one excluded.  A node that was
 merely paused and submits after expiry presents a fenced-off token and
 is counted once — as `results_fenced`, not as coverage.
 
+The run-wide execution cap works as in the pool: once the completed
+shards, taken in order, reach ``max_executions``, every later shard is
+dropped from the lease table — never granted, never waited for — and
+the run settles (`repro.engine.pool.execution_cut`).
+
 Failure handling is three nested safety nets:
 
 1. connection loss -> `release_node` requeues the node's leases now;
@@ -39,7 +44,7 @@ from ..checkpoint import CheckpointWriter, load_completed_ex, run_fingerprint
 from ..corpus import CorpusEntry
 from ..hedge import HEDGE_ATTEMPT_BASE, DeadlineEstimator
 from ..pool import (EngineParams, EngineResult, ResultCorrupt, _decode_result,
-                    finalize_run, plan_shards_ex)
+                    execution_cut, finalize_run, plan_shards_ex)
 from ..registry import ScenarioSpec, build_scenario
 from ..telemetry import ProgressReporter
 from .handshake import handshake_mismatch
@@ -79,8 +84,8 @@ class Coordinator:
         self.spec = spec
         self.dist = dist or DistParams()
         self.scenario = build_scenario(spec)
-        self.shards, self.planner_pruned = plan_shards_ex(self.scenario,
-                                                          params)
+        self.shards, self.planner_gaps = plan_shards_ex(self.scenario,
+                                                        params)
         self._fingerprint = run_fingerprint(self.scenario.name, spec,
                                             params.fingerprint_json(),
                                             self.shards)
@@ -116,7 +121,12 @@ class Coordinator:
                                                  params.seed))
                            if params.audit_fraction > 0 else None)
         self._audit_queue: List[Tuple[int, ScenarioReport, str]] = []
+        #: Shards whose audit is queued or running: their results may
+        #: still be replaced, so the execution cap is not taken over them.
+        self._auditing: set = set()
         self._quarantined: set = set()
+        #: The shard holding the run's last capped execution, once known.
+        self._cut_sid: Optional[int] = None
         self._draining = threading.Event()
         self._cancelled = threading.Event()
         self.results: Dict[int, Tuple[ScenarioReport,
@@ -131,11 +141,12 @@ class Coordinator:
                 if 0 <= sid < len(self.shards):
                     self.results[sid] = (report, entries)
                     self.table.mark_done(sid)
+        self._update_cut()
         self.reporter = ProgressReporter(
             total_shards=len(self.shards), enabled=params.progress,
             label=f"dist:{self.scenario.name}")
         self.reporter.on_quarantined(quarantined)
-        self.reporter.on_planner_pruned(self.planner_pruned)
+        self.reporter.on_planner_pruned(sum(self.planner_gaps))
         for report, _entries in self.results.values():
             self.reporter.on_resumed(report.executions, report.steps,
                                      report.pruned_subtrees)
@@ -203,7 +214,7 @@ class Coordinator:
         self._run_audits()
         with self._lock:
             for sid in range(len(self.shards)):
-                if sid in self.results:
+                if sid in self.results or self._past_cut(sid):
                     continue
                 reason = self.table.failure_reason(sid) \
                     or "no live node returned this shard"
@@ -211,8 +222,8 @@ class Coordinator:
             self._on_event("settled", settled=self.table.settled,
                            drained=self._draining.is_set(),
                            cancelled=self._cancelled.is_set())
-            return finalize_run(self.scenario.name, self.params,
-                                self.shards, self.planner_pruned,
+            return finalize_run(self.scenario, self.spec, self.params,
+                                self.shards, self.planner_gaps,
                                 self.results, self._markers,
                                 self.reporter, self._writer,
                                 audit_log=self._audit_log)
@@ -455,6 +466,8 @@ class Coordinator:
                                     "result failed its CRC check")
             return
         with self._lock:
+            if self._past_cut(sid):
+                return  # dropped at the execution cap: nothing to merge
             shadow = self._shadow.get(sid)
             if shadow is not None and shadow[0] == token:
                 del self._shadow[sid]
@@ -520,6 +533,34 @@ class Coordinator:
         if self._audit_log is not None \
                 and self._audit_log.sampler.should_audit(sid):
             self._audit_queue.append((sid, report, node_id))
+            self._auditing.add(sid)
+        self._update_cut()
+
+    def _past_cut(self, sid: int) -> bool:
+        return self._cut_sid is not None and sid > self._cut_sid
+
+    def _update_cut(self) -> None:
+        """Drop the shards past the execution cap once it is known.
+
+        Caller holds the lock.  Only audit-screened results count: a
+        divergent result repaired by the audit could move the cut.
+        """
+        if self._cut_sid is not None:
+            return
+        results = self.results
+        if self._auditing:
+            results = {sid: got for sid, got in results.items()
+                       if sid not in self._auditing}
+        cut = execution_cut(results, len(self.shards),
+                            self.params.max_executions)
+        if cut is None:
+            return
+        self._cut_sid = cut[0]
+        self.table.drop_after(self._cut_sid)
+        for sid in [sid for sid in self._shadow if self._past_cut(sid)]:
+            del self._shadow[sid]
+        self._audit_queue[:] = [item for item in self._audit_queue
+                                if not self._past_cut(item[0])]
 
     def _run_audits(self) -> None:
         """Re-execute queued sampled shards in this (trusted) process.
@@ -546,8 +587,10 @@ class Coordinator:
                 worker=f"node {node_id or '?'}")
             with self._lock:
                 self._audit_log.audits_done += 1
+                self._auditing.discard(sid)
                 self.reporter.on_audit(sid, finding is not None)
                 if finding is None:
+                    self._update_cut()
                     continue
                 self._audit_log.findings.append(finding)
                 self._audit_log.witnesses.append(
@@ -570,6 +613,7 @@ class Coordinator:
                                                          time.time()):
                         self.reporter.on_lease_expired(lease.shard_id,
                                                        node_id)
+                self._update_cut()
 
 
 def serve_scenario(params: EngineParams, spec: ScenarioSpec,

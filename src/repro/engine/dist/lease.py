@@ -27,7 +27,8 @@ distribution-specific twists:
 
 A shard whose attempts exceed ``max_retries + 1`` is marked **failed**
 and surfaces as truncated coverage — graceful degradation, not a crash
-(`repro.engine.budget.Coverage`).
+(`repro.engine.budget.Coverage`).  A shard past the run's execution cap
+is **dropped**: never granted again, and not waited for.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ PENDING = "pending"
 LEASED = "leased"
 DONE = "done"
 FAILED = "failed"
+DROPPED = "dropped"
 
 #: Verdicts of `LeaseTable.complete`.
 ACCEPTED = "accepted"
@@ -115,8 +117,10 @@ class LeaseTable:
 
     @property
     def settled(self) -> bool:
-        """Every shard is done or permanently failed: the run can end."""
-        return all(st in (DONE, FAILED) for st in self._status.values())
+        """Every shard is done, permanently failed or dropped: the run
+        can end."""
+        return all(st in (DONE, FAILED, DROPPED)
+                   for st in self._status.values())
 
     # ------------------------------------------------------------------
     # Transitions
@@ -129,6 +133,16 @@ class LeaseTable:
         and is rejected STALE."""
         self._status[shard_id] = DONE
         self._leases.pop(shard_id, None)
+
+    def drop_after(self, shard_id: int) -> None:
+        """Drop every unfinished shard after ``shard_id``: the run's
+        execution cap falls at or before it, so no later shard can
+        contribute to the merge.  Popping their leases fences any late
+        result, and a dropped shard is never granted again."""
+        for sid in range(shard_id + 1, self.n_shards):
+            if self._status[sid] in (PENDING, LEASED):
+                self._status[sid] = DROPPED
+                self._leases.pop(sid, None)
 
     def issue_token(self) -> int:
         """Draw a fresh fencing token without creating a lease.

@@ -18,7 +18,9 @@ retry on the coordinator) rather than a silent drop, so a
 deterministically poisoned shard cannot loop forever.  A connection
 error becomes a reconnect with jittered exponential backoff; the
 coordinator requeues our lease when it notices, and any result we
-submit from before the drop is fenced off by its stale token.
+submit from before the drop is fenced off by its stale token — unless
+the coordinator said ``done`` before the drop: it settled the run
+without our shard (one past the execution cap), and the node exits.
 """
 
 from __future__ import annotations
@@ -70,6 +72,25 @@ class NetBeat:
 
 def _default_node_id() -> str:
     return f"{socket.gethostname()}:{os.getpid()}"
+
+
+def _told_done(ch: Channel) -> bool:
+    """Did the coordinator say ``done`` before this connection dropped?
+
+    A coordinator that settles while this node is still exploring (a
+    shard past the run's execution cap) broadcasts ``done`` and closes.
+    The frame stays readable here after our next send fails, which
+    tells a settled run from a lost coordinator.
+    """
+    try:
+        while True:
+            msg = ch.recv(timeout=0.05)
+            if msg is None:
+                return False
+            if msg.get("t") == MSG_DONE:
+                return True
+    except OSError:
+        return False
 
 
 def _serve_grants(ch: Channel, node_id: str, emit: Callable) -> bool:
@@ -181,6 +202,9 @@ def run_node(host: str, port: int, node_id: Optional[str] = None,
             emit(f"[node {node_id}] refused by coordinator: {err}")
             return REFUSED_EXIT
         except ConnectionError as err:
+            if _told_done(ch):
+                emit(f"[node {node_id}] coordinator done; exiting")
+                return 0
             failures += 1
             emit(f"[node {node_id}] connection lost ({err}); "
                  f"reconnect {failures}/{max_reconnects}")

@@ -31,6 +31,7 @@ fault injection (`repro.engine.faults`, ``python -m repro chaos``).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -41,13 +42,13 @@ import zlib
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
                                 ProcessPoolExecutor, wait)
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..checking.runner import (Scenario, ScenarioReport, StyleTally,
                                record_result)
 from ..core.spec_styles import SpecStyle
-from .audit import (AuditLog, AuditSampler, audit_shard,
-                    divergence_witness, report_fingerprint)
+from .audit import (AUDIT_ATTEMPT_BASE, AuditLog, AuditSampler,
+                    audit_shard, divergence_witness, report_fingerprint)
 from .budget import BudgetSpec, BudgetTracker, Coverage
 from .checkpoint import (CheckpointWriter, load_completed_ex,
                          run_fingerprint)
@@ -85,7 +86,9 @@ class EngineParams:
     runs: int = 300
     seed: int = 0
     max_steps: int = 20_000
-    #: Execution cap; in parallel exhaustive mode it bounds each shard.
+    #: Execution cap for the whole run, however it is sharded: the merge
+    #: keeps the first ``max_executions`` executions in shard order
+    #: (`execution_cut`), exactly the ones a serial run checks.
     max_executions: int = 100_000
     workers: int = 1
     #: Max prefix length for exhaustive splitting (None = default).
@@ -329,13 +332,15 @@ def _decode_result(shard_id: int, blob: str, crc: int) \
 # ----------------------------------------------------------------------
 
 def plan_shards_ex(scenario: Scenario,
-                   params: EngineParams) -> Tuple[List[Shard], int]:
+                   params: EngineParams) -> Tuple[List[Shard], List[int]]:
     """Deterministically split the run into disjoint work items.
 
-    Returns ``(shards, planner_pruned)``: under DPOR the planner itself
+    Returns ``(shards, planner_gaps)``: under DPOR the planner itself
     prunes asleep branches at nodes it pins into shard prefixes (see
-    `repro.engine.shard.plan_exhaustive_shards_dpor`); the count is
-    folded into the merged report so serial and sharded telemetry agree.
+    `repro.engine.shard.plan_exhaustive_shards_dpor`).  ``planner_gaps``
+    holds those prunes per gap between shards (``len(shards) + 1``
+    entries, all zero without DPOR); the merge folds in the gaps a
+    serial run would have reached, so serial and sharded reports agree.
     """
     if params.target_shards is not None:
         target = max(1, params.target_shards)
@@ -347,21 +352,47 @@ def plan_shards_ex(scenario: Scenario,
             target = max(target, 2 * SHARDS_PER_WORKER)
     if params.exhaustive:
         if target == 1:
-            return [Shard(kind="prefix")], 0
+            return [Shard(kind="prefix")], [0, 0]
         kwargs = {"model": params.model}
         if params.split_depth is not None:
             kwargs["max_split_depth"] = params.split_depth
         if params.dpor_on():
-            return plan_exhaustive_shards_dpor(scenario.factory, target,
-                                               params.max_steps, **kwargs)
-        return plan_exhaustive_shards(scenario.factory, target,
-                                      params.max_steps, **kwargs), 0
-    return plan_random_shards(params.runs, params.seed, target), 0
+            gaps: List[int] = []
+            shards, _total = plan_exhaustive_shards_dpor(
+                scenario.factory, target, params.max_steps, gaps=gaps,
+                **kwargs)
+            return shards, gaps
+        shards = plan_exhaustive_shards(scenario.factory, target,
+                                        params.max_steps, **kwargs)
+    else:
+        shards = plan_random_shards(params.runs, params.seed, target)
+    return shards, [0] * (len(shards) + 1)
 
 
 def plan_shards(scenario: Scenario, params: EngineParams) -> List[Shard]:
     """Deterministically split the run into disjoint work items."""
     return plan_shards_ex(scenario, params)[0]
+
+
+def execution_cut(results: Dict[int, Tuple[ScenarioReport, List]],
+                  n_shards: int, cap: int) -> Optional[Tuple[int, int]]:
+    """Where the run-wide execution cap falls, as ``(shard_id, share)``.
+
+    Shards concatenate to the serial enumeration in shard order, so a
+    serial run capped at ``cap`` stops inside the first shard at which
+    the executions so far reach ``cap``; ``share`` is that shard's part
+    of the cap.  None while the completed shards, taken in order, stay
+    under the cap — or a missing or budget-truncated shard comes first.
+    """
+    before = 0
+    for sid in range(n_shards):
+        got = results.get(sid)
+        if got is None or got[0].budget_exhausted:
+            return None
+        if before + got[0].executions >= cap:
+            return sid, cap - before
+        before += got[0].executions
+    return None
 
 
 def run_scenario(scenario: Optional[Scenario], params: EngineParams,
@@ -371,7 +402,7 @@ def run_scenario(scenario: Optional[Scenario], params: EngineParams,
         if spec is None:
             raise ValueError("need a scenario or a registry spec")
         scenario = build_scenario(spec)
-    shards, planner_pruned = plan_shards_ex(scenario, params)
+    shards, planner_gaps = plan_shards_ex(scenario, params)
     fingerprint = run_fingerprint(scenario.name, spec,
                                   params.fingerprint_json(), shards)
     deadline = (time.time() + params.run_seconds
@@ -392,15 +423,24 @@ def run_scenario(scenario: Optional[Scenario], params: EngineParams,
                                 enabled=params.progress,
                                 label=f"engine:{scenario.name}")
     reporter.on_quarantined(quarantined)
-    reporter.on_planner_pruned(planner_pruned)
+    reporter.on_planner_pruned(sum(planner_gaps))
     for report, _entries in results.values():
         reporter.on_resumed(report.executions, report.steps,
                             report.pruned_subtrees)
 
     writer = CheckpointWriter(params.checkpoint_path, fingerprint) \
         if params.checkpoint_path else None
+
+    def capped() -> bool:
+        # Once the completed shards reach the cap in order, no later
+        # shard can contribute an execution to the merge.
+        return execution_cut(results, len(shards),
+                             params.max_executions) is not None
+
     pending = [(sid, shard) for sid, shard in enumerate(shards)
                if sid not in results]
+    if capped():
+        pending = []  # the resumed shards already reach the cap
 
     def complete(sid: int, report: ScenarioReport,
                  entries: List[CorpusEntry], pid: int) -> None:
@@ -429,18 +469,19 @@ def run_scenario(scenario: Optional[Scenario], params: EngineParams,
 
     if params.workers > 1 and len(pending) > 1:
         _run_pool(scenario, spec, params, pending, complete, reporter,
-                  deadline, replace=replace, audit_log=audit_log)
+                  deadline, capped, replace=replace, audit_log=audit_log)
     else:
         _run_inline(scenario, spec, params, pending, complete, reporter,
-                    deadline)
+                    deadline, capped)
 
-    return finalize_run(scenario.name, params, shards, planner_pruned,
+    return finalize_run(scenario, spec, params, shards, planner_gaps,
                         results, markers, reporter, writer,
                         audit_log=audit_log)
 
 
-def finalize_run(scenario_name: str, params: EngineParams,
-                 shards: List[Shard], planner_pruned: int,
+def finalize_run(scenario: Scenario, spec: Optional[ScenarioSpec],
+                 params: EngineParams, shards: List[Shard],
+                 planner_gaps: Sequence[int],
                  results: Dict[int, Tuple[ScenarioReport,
                                           List[CorpusEntry]]],
                  markers: set, reporter: ProgressReporter,
@@ -448,19 +489,47 @@ def finalize_run(scenario_name: str, params: EngineParams,
                  audit_log: Optional[AuditLog] = None) -> EngineResult:
     """Merge per-shard results into one honest `EngineResult`.
 
-    The shared tail of every driver — the local pool above and the
-    distributed coordinator (`repro.engine.dist.coordinator`): fold the
-    partial reports in shard order, charge planner prunes exactly once,
-    account coverage for anything truncated or missing, and flush the
-    deduplicated corpus.
+    The shared tail of every driver — the local pool above, the
+    distributed coordinator (`repro.engine.dist.coordinator`) and the
+    crash-consistency harness: apply the run-wide execution cap, fold
+    the partial reports in shard order, charge planner prunes exactly
+    once, account coverage for anything truncated or missing, and flush
+    the deduplicated corpus.
+
+    The cap (`execution_cut`) keeps the leading shards up to the one
+    holding the cap's last execution and drops every later shard — they
+    are not coverage losses, the serial run never reaches them either.
+    Every shard was explored under the full cap, so the cut shard is
+    kept as is only if it stopped at exactly its share; otherwise it is
+    re-explored here, once, capped at its share.
     """
-    ordered = sorted(results)
-    report = merge_reports(scenario_name,
+    cut = execution_cut(results, len(shards), params.max_executions)
+    if cut is None:
+        needed = range(len(shards))
+        ordered = sorted(results)
+        # Branches the planner itself pruned at pinned prefix nodes:
+        # charged here, exactly once, so sharded totals equal the serial
+        # DPOR run.
+        charged = sum(planner_gaps)
+    else:
+        sid, share = cut
+        needed = ordered = range(sid + 1)
+        cut_report = results[sid][0]
+        if cut_report.exhausted or cut_report.executions != share:
+            # A driver-side re-execution, like an audit: its attempt
+            # number stays clear of faults aimed at worker attempts.
+            results = dict(results)
+            results[sid] = _explore_shard(
+                scenario, spec, shards[sid],
+                dataclasses.replace(params, max_executions=share),
+                shard_id=sid, attempt=AUDIT_ATTEMPT_BASE + sid)
+        # The serial run stops inside the cut shard: it reaches the
+        # planner prunes before it, never those after it.
+        charged = sum(planner_gaps[:sid + 1])
+    report = merge_reports(scenario.name,
                            (results[sid][0] for sid in ordered),
                            params.exhaustive)
-    # Branches the planner itself pruned at pinned prefix nodes: charged
-    # here, exactly once, so sharded totals equal the serial DPOR run.
-    report.pruned_subtrees += planner_pruned
+    report.pruned_subtrees += charged
     entries: List[CorpusEntry] = []
     seen_hashes: Set[str] = set()
     for sid in ordered:
@@ -495,12 +564,12 @@ def finalize_run(scenario_name: str, params: EngineParams,
     for detail in durable_errors:
         reporter.on_durable_error(detail)
     telemetry = reporter.finish()
-    complete_sids = {sid for sid in results
-                     if not results[sid][0].budget_exhausted}
+    complete_sids = {sid for sid in needed if sid in results
+                     and not results[sid][0].budget_exhausted}
     coverage = Coverage(
-        shards_total=len(shards),
+        shards_total=len(needed),
         shards_complete=len(complete_sids),
-        truncated=[shards[sid].describe() for sid in range(len(shards))
+        truncated=[shards[sid].describe() for sid in needed
                    if sid not in complete_sids],
         durable_errors=len(durable_errors),
         divergences=audit_log.divergences if audit_log else 0)
@@ -514,8 +583,10 @@ def finalize_run(scenario_name: str, params: EngineParams,
 
 
 def _run_inline(scenario, spec, params, pending, complete, reporter,
-                deadline=None) -> None:
+                deadline, stop) -> None:
     for sid, shard in pending:
+        if stop():
+            return  # every later shard lies past the execution cap
         if deadline is not None and time.time() >= deadline:
             reporter.on_skipped(sid, "run budget exhausted")
             continue
@@ -596,7 +667,7 @@ def _teardown_executor(executor) -> None:
 
 
 def _run_pool(scenario, spec, params, pending, complete, reporter,
-              deadline=None, replace=None,
+              deadline, stop, replace=None,
               audit_log: Optional[AuditLog] = None) -> None:
     heartbeat_dir = os.environ.get("REPRO_HB_DIR") \
         or tempfile.mkdtemp(prefix="repro-hb-")
@@ -613,7 +684,7 @@ def _run_pool(scenario, spec, params, pending, complete, reporter,
         if owns_hb_dir:
             shutil.rmtree(heartbeat_dir, ignore_errors=True)
         _run_inline(scenario, spec, params, pending, complete, reporter,
-                    deadline)
+                    deadline, stop)
         return
     shard_by_id = dict(pending)
     attempts = {sid: 0 for sid, _ in pending}
@@ -756,7 +827,10 @@ def _run_pool(scenario, spec, params, pending, complete, reporter,
     try:
         for sid, _ in pending:
             submit(sid)
-        while futures:
+        # Stop as soon as the completed shards reach the execution cap:
+        # the pool teardown below cancels the queued shards past it and
+        # kills the workers still exploring them.
+        while futures and not stop():
             done, _ = wait(list(futures), timeout=poll,
                            return_when=FIRST_COMPLETED)
             # Snapshot now: on a broken pool the executor's manager
@@ -804,6 +878,8 @@ def _run_pool(scenario, spec, params, pending, complete, reporter,
                 continue
             last_progress = now
             for fut in done:
+                if stop():
+                    break  # the rest of the batch lies past the cap
                 sid = futures.pop(fut, None)
                 if sid is None:
                     continue  # already shed by a recycle or cancel

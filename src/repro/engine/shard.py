@@ -22,6 +22,7 @@ and workers.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -132,6 +133,7 @@ def plan_exhaustive_shards_dpor(
     max_split_depth: int = 12,
     probe_cap: int = PROBE_CAP,
     model=None,
+    gaps: Optional[List[int]] = None,
 ) -> Tuple[List[Shard], int]:
     """DPOR-aware counterpart of :func:`plan_exhaustive_shards`.
 
@@ -150,10 +152,20 @@ def plan_exhaustive_shards_dpor(
     account for their pruned branches or the merged telemetry would
     undercount the reduction.  Nodes *below* a shard root are recounted
     by the shard itself, so probes charge nothing for them.
+
+    ``gaps``, when given, is filled with the same count split by where
+    the serial DFS meets each pruned branch: ``gaps[i]`` is charged just
+    before shard ``i`` (``gaps[len(shards)]`` after the last one).  An
+    asleep branch ``k`` at a pinned node on path ``p`` is skipped when
+    the DFS reaches the point ``p + (k,)`` in prefix order, so it lands
+    in the gap before the first shard sorting at or after that point.
+    A run that stops at an execution cap inside shard ``i`` counts only
+    ``gaps[:i + 1]`` (``docs/dpor.md``, "Composition with sharding").
     """
     frontier: List[Tuple[Tuple[int, ...], Tuple[Footprint, ...]]] = [((), ())]
     done: List[Tuple[Tuple[int, ...], Tuple[Footprint, ...]]] = []
-    planner_pruned = 0
+    # Every branch the planner prunes, as the path ``p + (k,)`` to it.
+    pruned: List[Tuple[int, ...]] = []
     probes = 0
     while frontier and len(frontier) + len(done) < target \
             and probes < probe_cap:
@@ -188,31 +200,38 @@ def plan_exhaustive_shards_dpor(
             # subtree the shard enumerates (and prune-counts) alone.
             done.append((prefix, sleep))
             continue
+        path = prefix + tuple(c for _n, c in trace[len(prefix):split])
         # Stem nodes end up inside every child prefix; charge their
-        # asleep branches to the planner (exactly once, here).
+        # asleep branches (all but the chosen one) to the planner
+        # (exactly once, here).
         for i in range(len(prefix), split):
-            if fps[i] is not None and trace[i][0] > 1:
-                planner_pruned += trace[i][0] - 1
-        stem = tuple(trace[i][1] for i in range(len(prefix), split))
+            if fps[i] is not None:
+                pruned.extend(path[:i] + (k,) for k in range(trace[i][0])
+                              if k != path[i])
         arity = trace[split][0]
         f = fps[split]
         if f is None:
-            frontier.extend((prefix + stem + (k,), sleep_tuple(sleeps[split]))
+            frontier.extend((path + (k,), sleep_tuple(sleeps[split]))
                             for k in range(arity))
             continue
         sleep_now = dict(sleeps[split])
         for k in range(arity):
             fk = f[k]
             if fk.thread in sleep_now:
-                planner_pruned += 1  # asleep at the split: pruned here
+                pruned.append(path + (k,))  # asleep at the split
                 continue
             child = {t: fu for t, fu in sleep_now.items()
                      if independent(fu, fk)}
-            frontier.append((prefix + stem + (k,), sleep_tuple(child)))
+            frontier.append((path + (k,), sleep_tuple(child)))
             sleep_now[fk.thread] = fk
     pairs = sorted(done + frontier, key=lambda item: item[0])
+    if gaps is not None:
+        prefixes = [p for p, _s in pairs]
+        gaps[:] = [0] * (len(pairs) + 1)
+        for point in pruned:
+            gaps[bisect_left(prefixes, point)] += 1
     return ([Shard(kind="prefix", prefix=p, sleep=s) for p, s in pairs],
-            planner_pruned)
+            len(pruned))
 
 
 def sleep_tuple(sleep) -> Tuple[Footprint, ...]:
