@@ -22,7 +22,7 @@ shared graph ``G -> G'``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, FrozenSet
+from typing import Any, FrozenSet, NamedTuple
 
 from ..rmc.view import View
 
@@ -142,9 +142,12 @@ class Exchange:
 # The event record
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Event:
-    """One committed operation of one library object."""
+class Event(NamedTuple):
+    """One committed operation of one library object.
+
+    A named tuple: immutable, value-equal, and cheap to build (one per
+    commit).
+    """
 
     eid: int
     kind: Any

@@ -15,8 +15,8 @@ like QUEUE-EMPDEQ quantify over ("has not been dequeued *in G*").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .event import Event
 from .registry import EventRegistry
@@ -24,10 +24,17 @@ from .registry import EventRegistry
 
 @dataclass(frozen=True)
 class Graph:
-    """An immutable event graph snapshot."""
+    """An immutable event graph snapshot.
+
+    ``parts`` memoizes what the spec checks derive from the graph
+    (`repro.core.spec_styles`), so the styles checked on one snapshot
+    share them; it takes no part in comparison or ``repr``.
+    """
 
     events: Dict[int, Event]
     so: FrozenSet[Tuple[int, int]]
+    parts: Dict[Any, Any] = field(default_factory=dict, init=False,
+                                  repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Construction

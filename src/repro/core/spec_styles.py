@@ -138,31 +138,52 @@ def _so_view_transfer(graph: Graph) -> List[Violation]:
     return violations
 
 
+def _shared(graph: Graph, key, compute, *args) -> List[Violation]:
+    """``compute(graph, *args)``, computed once per graph under ``key``.
+
+    Styles checked on the same graph share these parts; callers extend
+    their own lists with the result and never mutate it.
+    """
+    parts = graph.parts
+    out = parts.get(key)
+    if out is None:
+        out = parts[key] = compute(graph, *args)
+    return out
+
+
+def _wellformedness(graph: Graph) -> List[Violation]:
+    return [Violation("WELLFORMED", msg)
+            for msg in graph.wellformedness_errors()]
+
+
 def check_style(
     graph: Graph,
     kind: str,
     style: SpecStyle,
     to: Optional[Sequence[int]] = None,
 ) -> CheckResult:
-    """Check one execution's event graph against one spec style."""
-    violations: List[Violation] = []
-    wf = graph.wellformedness_errors()
-    violations.extend(Violation("WELLFORMED", msg) for msg in wf)
+    """Check one execution's event graph against one spec style.
 
-    if style is SpecStyle.SEQ:
-        violations.extend(_so_view_transfer(graph))
-        violations.extend(_abstract_replay(graph, kind, strict_empty=True))
-    elif style is SpecStyle.LAT_SO_ABS:
-        violations.extend(_so_view_transfer(graph))
-        violations.extend(_abstract_replay(graph, kind, strict_empty=False))
-    elif style is SpecStyle.LAT_HB_ABS:
-        violations.extend(CONSISTENCY[kind](graph))
-        violations.extend(_abstract_replay(graph, kind, strict_empty=False))
-    elif style is SpecStyle.LAT_HB:
-        violations.extend(CONSISTENCY[kind](graph))
-    elif style is SpecStyle.LAT_HB_HIST:
-        violations.extend(CONSISTENCY[kind](graph))
-        violations.extend(check_linearizable_history(graph, kind, to=to))
+    The parts several styles share — well-formedness, the consistency
+    conditions, the abstract replay and the so view transfer — are
+    computed once per graph (`Graph.parts`), whatever order the styles
+    are checked in.
+    """
+    violations = list(_shared(graph, "wellformed", _wellformedness))
+    if style is SpecStyle.SEQ or style is SpecStyle.LAT_SO_ABS:
+        strict = style is SpecStyle.SEQ
+        violations.extend(_shared(graph, "so-view", _so_view_transfer))
+        violations.extend(_shared(graph, ("abs", kind, strict),
+                                  _abstract_replay, kind, strict))
+    elif style in (SpecStyle.LAT_HB_ABS, SpecStyle.LAT_HB,
+                   SpecStyle.LAT_HB_HIST):
+        violations.extend(_shared(graph, ("consistency", kind),
+                                  CONSISTENCY[kind]))
+        if style is SpecStyle.LAT_HB_ABS:
+            violations.extend(_shared(graph, ("abs", kind, False),
+                                      _abstract_replay, kind, False))
+        elif style is SpecStyle.LAT_HB_HIST:
+            violations.extend(check_linearizable_history(graph, kind, to=to))
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown style {style}")
     return CheckResult(style=style, violations=violations)

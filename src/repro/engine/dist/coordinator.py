@@ -315,6 +315,11 @@ class Coordinator:
                 if msg is None:
                     continue
                 self._dispatch(ch, node_id, msg)
+            # The run stopped.  `_shutdown` broadcasts ``done`` only to
+            # the nodes still registered when it gets there, and this
+            # thread is about to unregister the node and close: say
+            # ``done`` first, so the node never reads a bare close.
+            ch.send(MSG_DONE)
         except ConnectionError:
             pass
         finally:

@@ -108,6 +108,8 @@ def child_sleep(footprints: Sequence[Footprint], chosen: int,
     asleep already or their subtree has been fully explored), and only
     the sleepers independent of the chosen step stay asleep below it.
     """
+    if not chosen and not entry_sleep:
+        return {}  # the leftmost branch of a node with nothing asleep
     now = dict(entry_sleep)
     for k in range(chosen):
         t = footprints[k].thread
@@ -190,15 +192,18 @@ class SleepSetDecider(Decider):
     def choose(self, n: int, footprints=None) -> int:
         if n <= 0:
             raise ValueError("decision with no alternatives")
-        i = len(self.trace)
+        trace = self.trace
+        i = len(trace)
         if i < self.reused:
-            c = min(self.prefix[i], n - 1)
+            c = self.prefix[i]
+            if c >= n:
+                c = n - 1
             if i == self.reused - 1:
                 # The new sibling: derive its child's sleep set (a
                 # reused prefix always ends at or below the shard root).
                 f, entry = self.footprints[i], self.entry_sleeps[i]
                 self.sleep = entry if f is None else child_sleep(f, c, entry)
-            self.trace.append((n, c))
+            trace.append((n, c))
             return c
         if i == self.pin and self.pin:
             self.sleep = dict(self.entry)

@@ -30,11 +30,16 @@ the default ``"orc11"`` model is exactly the semantics described above.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
+# The module, not `get_model` itself: repro.models imports rmc leaf
+# modules, so when the models package is the entry point it is still
+# initializing while this module loads.
+from ..models import base as model_registry
 from .memory import Memory
-from .message import Message
-from .modes import FENCE_MODES, Mode, READ_MODES, RMW_MODES, WRITE_MODES
+from .message import Location, Message
+from .modes import (FENCE_MODES, Mode, NA, READ_MODES, RMW_MODES,
+                    WRITE_MODES)
 from .ops import (Alloc, Cas, Faa, Fence, Footprint, GhostCommit, Load, Op,
                   Store, Xchg, op_footprint)
 from .races import RaceError, SteppingError
@@ -137,11 +142,7 @@ class Machine:
         #: the upgrade (its need for prophecy is algorithmic), while all
         #: litmus weak outcomes vanish.
         self.sc_upgrade = sc_upgrade
-        # Imported lazily: repro.models imports rmc leaf modules, so a
-        # module-level import here would cycle when the models package is
-        # the entry point.
-        from ..models.base import get_model
-        self.model = get_model(model)
+        self.model = model_registry.get_model(model)
         self.memory = Memory(race_detection=race_detection)
         self.env = program.setup(self.memory) if program.setup else None
         self.threads: List[ThreadState] = []
@@ -158,44 +159,53 @@ class Machine:
     def run(self) -> ExecutionResult:
         race: Optional[RaceError] = None
         truncated = False
+        threads = self.threads
+        decider = self.decider
         try:
-            for th in self.threads:
+            for th in threads:
                 self._advance(th, None)  # prime: run to the first yield
-            wants_footprints = self.decider.wants_footprints
-            while True:
-                enabled = [t.tid for t in self.threads if not t.finished]
-                if not enabled:
-                    break
-                if self.steps >= self.max_steps:
+            # The runnable threads, rebuilt only when one finishes; the
+            # footprint getter reads it at the decision it is handed to.
+            enabled = self._enabled = [t.tid for t in threads
+                                       if not t.finished]
+            footprints = (self._footprints
+                          if decider.wants_footprints else None)
+            execute = self._execute
+            max_steps = self.max_steps
+            while enabled:
+                if self.steps >= max_steps:
                     truncated = True
                     break
-                if wants_footprints:
-                    tid = self.decider.choose_thread(
-                        enabled, lambda e=enabled: self._footprints(e))
+                if footprints is None:
+                    th = threads[decider.choose_thread(enabled)]
                 else:
-                    tid = self.decider.choose_thread(enabled)
-                self._step(self.threads[tid])
+                    th = threads[decider.choose_thread(enabled, footprints)]
+                self.steps += 1
+                self._advance(th, execute(th, th.pending))
+                if th.finished:
+                    enabled = self._enabled = [t.tid for t in threads
+                                               if not t.finished]
         except RaceError as err:
             race = err
         return ExecutionResult(
-            returns={t.tid: t.retval for t in self.threads},
+            returns={t.tid: t.retval for t in threads},
             steps=self.steps,
             truncated=truncated,
             race=race,
             memory=self.memory,
             env=self.env,
-            trace=self.decider.trace,
+            trace=decider.trace,
         )
 
-    def _footprints(self, enabled: Sequence[int]) -> Tuple[Footprint, ...]:
-        """The footprints of the ``enabled`` threads' pending operations.
+    def _footprints(self) -> Tuple[Footprint, ...]:
+        """The footprints of the enabled threads' pending operations.
 
         A footprint is a pure function of the pending op, the model and
         ``sc_upgrade``, so each is computed at most once per pending op
         and cached on its thread until `_advance` replaces the op.
         """
         out = []
-        for tid in enabled:
+        for tid in self._enabled:
             th = self.threads[tid]
             fp = th.footprint
             if fp is None:
@@ -213,50 +223,18 @@ class Machine:
             th.retval = stop.value
             th.pending = None
 
-    def _step(self, th: ThreadState) -> None:
-        self.steps += 1
-        result = self._execute(th, th.pending)
-        self._advance(th, result)
-
     # ------------------------------------------------------------------
     # Operation semantics
     # ------------------------------------------------------------------
     def _execute(self, th: ThreadState, op: Op) -> Any:
-        if self.sc_upgrade and hasattr(op, "mode") and \
-                op.mode is not Mode.NA:
+        step = _STEPS.get(type(op))
+        if step is None:
+            raise SteppingError(f"unknown operation {op!r}")
+        if self.sc_upgrade and hasattr(op, "mode") and op.mode is not NA:
             op.mode = Mode.SC
-            if isinstance(op, Cas):
+            if type(op) is Cas:
                 op.fail_mode = Mode.SC
-        if isinstance(op, Load):
-            if op.mode not in READ_MODES:
-                raise SteppingError(f"load cannot be {op.mode}")
-            return self._do_load(th, op)
-        if isinstance(op, Store):
-            if op.mode not in WRITE_MODES:
-                raise SteppingError(f"plain store cannot be {op.mode}")
-            return self._do_store(th, op)
-        if isinstance(op, Cas):
-            if op.mode not in RMW_MODES:
-                raise SteppingError(f"CAS cannot be {op.mode}")
-            return self._do_cas(th, op)
-        if isinstance(op, Faa):
-            if op.mode not in RMW_MODES:
-                raise SteppingError(f"FAA cannot be {op.mode}")
-            return self._do_rmw(th, op, lambda old: old + op.delta)
-        if isinstance(op, Xchg):
-            if op.mode not in RMW_MODES:
-                raise SteppingError(f"XCHG cannot be {op.mode}")
-            return self._do_rmw(th, op, lambda _old: op.val)
-        if isinstance(op, Fence):
-            if op.mode not in FENCE_MODES:
-                raise SteppingError(f"fence cannot be {op.mode}")
-            return self._do_fence(th, op)
-        if isinstance(op, Alloc):
-            return [self.memory.alloc(op.name, init) for init in op.inits]
-        if isinstance(op, GhostCommit):
-            op.commit(CommitCtx(self, th, op))
-            return None
-        raise SteppingError(f"unknown operation {op!r}")
+        return step(self, th, op)
 
     def _tick(self, th: ThreadState) -> None:
         """Bump the thread's race-detector clock for a new access."""
@@ -265,101 +243,157 @@ class Machine:
 
     # -- loads ----------------------------------------------------------
     def _do_load(self, th: ThreadState, op: Load) -> Any:
-        mode = self.model.read_mode(op.mode)
+        if op.mode not in READ_MODES:
+            raise SteppingError(f"load cannot be {op.mode}")
+        model, memory, loc = self.model, self.memory, op.loc
+        mode = model.read_mode(op.mode)
+        na = mode is NA
         self._tick(th)
-        self.memory.check_read_race(op.loc, th.tid, th.view, mode is Mode.NA)
-        self.model.pre_access(self.memory, th, mode)
-        choices = self.model.read_choices(self.memory, th, op.loc, mode)
+        # An atomic read races only with a non-atomic write.
+        if memory.race_detection and (
+                na or memory.locations[loc].has_na_write):
+            memory.check_read_race(loc, th.tid, th.view, na)
+        model.pre_access(memory, th, mode)
+        choices = model.read_choices(memory, th, loc, mode)
         msg = choices[self.decider.choose_read(len(choices))]
-        self.model.absorb_read(self.memory, th, msg, mode)
-        self.memory.mark_read(op.loc, th.tid, th.clock, mode is Mode.NA)
+        model.absorb_read(memory, th, msg, mode)
+        memory.mark_read(loc, th.tid, th.clock, na)
         if op.commit is not None:
             op.commit(CommitCtx(self, th, op, msg_read=msg, value_read=msg.val))
-        self.model.post_access(self.memory, th, mode)
+        model.post_access(memory, th, mode)
         return msg.val
 
     # -- stores ---------------------------------------------------------
     def _do_store(self, th: ThreadState, op: Store) -> None:
-        mode = self.model.write_mode(op.mode)
+        if op.mode not in WRITE_MODES:
+            raise SteppingError(f"plain store cannot be {op.mode}")
+        model, memory, loc = self.model, self.memory, op.loc
+        mode = model.write_mode(op.mode)
+        na = mode is NA
         self._tick(th)
-        self.memory.check_write_race(op.loc, th.tid, th.view, mode is Mode.NA)
-        self.model.pre_access(self.memory, th, mode)
-        ts = self.memory.location(op.loc).next_ts
-        th.view = th.view.extend(op.loc, ts)
+        cell = memory.locations[loc]
+        # An atomic write races only with non-atomic accesses.
+        if memory.race_detection and (na or cell.has_na_write
+                                      or cell.na_read_marks):
+            memory.check_write_race(loc, th.tid, th.view, na)
+        model.pre_access(memory, th, mode)
+        ts = len(cell.history)  # the next timestamp: t⁺ = |h(ℓ)|
+        th.view = th.view.extend(loc, ts)
         if op.commit is not None:
             op.commit(CommitCtx(self, th, op, ts_written=ts))
-        mview = self.model.released_view(self.memory, th, op.loc, ts, mode,
-                                         None)
-        self.memory.append(op.loc, op.val, mview, th.tid, th.clock,
-                           mode is Mode.NA)
-        self.model.post_access(self.memory, th, mode)
+        mview = model.released_view(memory, th, loc, ts, mode, None)
+        memory.append(loc, op.val, mview, th.tid, th.clock, na)
+        model.post_access(memory, th, mode)
 
     # -- read-modify-writes ----------------------------------------------
     def _do_cas(self, th: ThreadState, op: Cas):
-        mode = self.model.rmw_mode(op.mode)
+        if op.mode not in RMW_MODES:
+            raise SteppingError(f"CAS cannot be {op.mode}")
+        model, memory, loc = self.model, self.memory, op.loc
+        mode = model.rmw_mode(op.mode)
         self._tick(th)
-        self.memory.check_read_race(op.loc, th.tid, th.view, False)
-        self.model.pre_access(self.memory, th, mode)
+        cell = memory.locations[loc]
+        if memory.race_detection and cell.has_na_write:
+            memory.check_read_race(loc, th.tid, th.view, False)
+        model.pre_access(memory, th, mode)
         # The CAS read deliberately stays on the coherence predicate (not
         # `read_choices`): models that restrict reads below a global floor
         # do so here through `pre_access` raising the thread view first.
-        visible = self.memory.visible(op.loc, th.view)
-        latest = visible[-1]
-        choices = [m for m in visible if m.val != op.expected]
-        if latest.val == op.expected:
-            choices.append(latest)
+        # Choices: every visible message whose value fails the CAS, then
+        # the mo-latest one (the only one a successful CAS may read).
+        visible = memory.visible(loc, th.view)
+        expected = op.expected
+        if len(visible) == 1:
+            choices = visible
+        else:
+            choices = [m for m in visible[:-1] if m.val != expected]
+            choices.append(visible[-1])
         msg = choices[self.decider.choose_read(len(choices))]
-        if msg.val == op.expected:
-            result = self._rmw_write(th, op, msg, op.desired, op.commit, mode)
+        if msg.val == expected:
+            self._rmw_write(th, op, cell, msg, op.desired, op.commit, mode)
             out = (True, msg.val)
         else:
             # Failed CAS: a plain read at fail_mode.
-            self.model.absorb_read(self.memory, th, msg,
-                                   self.model.fail_mode(op.fail_mode))
-            self.memory.mark_read(op.loc, th.tid, th.clock, False)
+            model.absorb_read(memory, th, msg, model.fail_mode(op.fail_mode))
+            memory.mark_read(loc, th.tid, th.clock, False)
             if op.commit_fail is not None:
                 op.commit_fail(
                     CommitCtx(self, th, op, msg_read=msg, value_read=msg.val))
             out = (False, msg.val)
-        self.model.post_access(self.memory, th, mode)
+        model.post_access(memory, th, mode)
         return out
 
+    def _do_faa(self, th: ThreadState, op: Faa) -> Any:
+        if op.mode not in RMW_MODES:
+            raise SteppingError(f"FAA cannot be {op.mode}")
+        return self._do_rmw(th, op, lambda old: old + op.delta)
+
+    def _do_xchg(self, th: ThreadState, op: Xchg) -> Any:
+        if op.mode not in RMW_MODES:
+            raise SteppingError(f"XCHG cannot be {op.mode}")
+        return self._do_rmw(th, op, lambda _old: op.val)
+
     def _do_rmw(self, th: ThreadState, op, compute) -> Any:
-        mode = self.model.rmw_mode(op.mode)
+        model, memory, loc = self.model, self.memory, op.loc
+        mode = model.rmw_mode(op.mode)
         self._tick(th)
-        self.memory.check_read_race(op.loc, th.tid, th.view, False)
-        self.model.pre_access(self.memory, th, mode)
-        msg = self.memory.latest(op.loc)
-        self._rmw_write(th, op, msg, compute(msg.val), op.commit, mode)
-        self.model.post_access(self.memory, th, mode)
+        cell = memory.locations[loc]
+        if memory.race_detection and cell.has_na_write:
+            memory.check_read_race(loc, th.tid, th.view, False)
+        model.pre_access(memory, th, mode)
+        msg = cell.latest
+        self._rmw_write(th, op, cell, msg, compute(msg.val), op.commit, mode)
+        model.post_access(memory, th, mode)
         return msg.val
 
-    def _rmw_write(self, th: ThreadState, op, read_msg: Message, new_val,
-                   commit, mode: Mode) -> Message:
+    def _rmw_write(self, th: ThreadState, op, cell: Location,
+                   read_msg: Message, new_val, commit, mode: Mode) -> Message:
         """Common successful-RMW path: mo-adjacent read-and-write.
 
         ``mode`` is the mode the RMW actually executes at (after model
         strengthening), not the annotation.
         """
-        self.memory.check_write_race(op.loc, th.tid, th.view, False)
+        model, memory, loc = self.model, self.memory, op.loc
+        if memory.race_detection and (cell.has_na_write
+                                      or cell.na_read_marks):
+            memory.check_write_race(loc, th.tid, th.view, False)
         # Read side.
-        self.model.absorb_rmw_read(self.memory, th, read_msg, mode)
-        self.memory.mark_read(op.loc, th.tid, th.clock, False)
+        model.absorb_rmw_read(memory, th, read_msg, mode)
+        memory.mark_read(loc, th.tid, th.clock, False)
         # Write side, mo-adjacent to the read message.
         ts = read_msg.ts + 1
-        assert ts == self.memory.location(op.loc).next_ts
-        th.view = th.view.extend(op.loc, ts)
+        assert ts == len(cell.history)
+        th.view = th.view.extend(loc, ts)
         if commit is not None:
             commit(CommitCtx(self, th, op, msg_read=read_msg, ts_written=ts,
                              value_read=read_msg.val))
-        mview = self.model.released_view(self.memory, th, op.loc, ts, mode,
-                                         read_msg.view)
-        return self.memory.append(op.loc, new_val, mview, th.tid, th.clock,
-                                  False)
+        mview = model.released_view(memory, th, loc, ts, mode, read_msg.view)
+        return memory.append(loc, new_val, mview, th.tid, th.clock, False)
 
-    # -- fences -----------------------------------------------------------
+    # -- fences and the rest ------------------------------------------------
     def _do_fence(self, th: ThreadState, op: Fence) -> None:
+        if op.mode not in FENCE_MODES:
+            raise SteppingError(f"fence cannot be {op.mode}")
         self.model.fence(self.memory, th, self.model.fence_mode(op.mode))
+
+    def _do_alloc(self, th: ThreadState, op: Alloc) -> List[int]:
+        return [self.memory.alloc(op.name, init) for init in op.inits]
+
+    def _do_ghost(self, th: ThreadState, op: GhostCommit) -> None:
+        op.commit(CommitCtx(self, th, op))
+
+
+#: One step rule per operation class, keyed by the op's exact type.
+_STEPS = {
+    Load: Machine._do_load,
+    Store: Machine._do_store,
+    Cas: Machine._do_cas,
+    Faa: Machine._do_faa,
+    Xchg: Machine._do_xchg,
+    Fence: Machine._do_fence,
+    Alloc: Machine._do_alloc,
+    GhostCommit: Machine._do_ghost,
+}
 
 
 def run(program, decider: Decider, max_steps: int = 100_000,

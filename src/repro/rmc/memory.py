@@ -28,6 +28,11 @@ from .races import RaceError
 from .view import EMPTY_VIEW, View
 
 
+#: Builds a `Message` from its field tuple in one C call, skipping the
+#: named tuple's Python-level ``__new__`` (one message per write).
+_message = tuple.__new__
+
+
 class Memory:
     """The shared store of one machine execution."""
 
@@ -62,19 +67,8 @@ class Memory:
         """
         loc = self._next_component
         self._next_component += 1
-        cell = Location(loc=loc, name=name)
-        cell.history.append(
-            Message(
-                loc=loc,
-                ts=0,
-                val=init,
-                view=EMPTY_VIEW,
-                writer=None,
-                wclock=0,
-                is_na=False,
-            )
-        )
-        self.locations[loc] = cell
+        self.locations[loc] = Location(loc, name, [_message(
+            Message, (loc, 0, init, EMPTY_VIEW, None, 0, False))])
         return loc
 
     def alloc_many(self, inits: List[Any], name: str = "cell") -> List[int]:
@@ -135,12 +129,15 @@ class Memory:
         return view.get(tau) >= msg.wclock
 
     def check_read_race(self, loc: int, tid: int, view: View, is_na: bool) -> None:
-        """Raise if a read at this point races with an earlier write."""
+        """Raise if a read at this point races with an earlier write.
+
+        An atomic read can only race with a non-atomic write, so the
+        machine skips this call for atomic reads of locations without
+        one (`Location.has_na_write`).
+        """
         if not self.race_detection:
             return
         cell = self.locations[loc]
-        if not is_na and not cell.has_na_write:
-            return
         for msg in reversed(cell.history):
             if (is_na or msg.is_na) and not self._hb_seen(view, msg):
                 kind = "na-read" if is_na else "atomic read"
@@ -150,7 +147,12 @@ class Memory:
                 )
 
     def check_write_race(self, loc: int, tid: int, view: View, is_na: bool) -> None:
-        """Raise if a write at this point races with an earlier access."""
+        """Raise if a write at this point races with an earlier access.
+
+        An atomic write can only race with non-atomic accesses, so the
+        machine skips this call for atomic writes to locations without a
+        non-atomic write or read mark.
+        """
         if not self.race_detection:
             return
         cell = self.locations[loc]
@@ -197,16 +199,10 @@ class Memory:
         is_na: bool,
     ) -> Message:
         cell = self.locations[loc]
-        msg = Message(
-            loc=loc,
-            ts=cell.next_ts,
-            val=val,
-            view=view,
-            writer=writer,
-            wclock=wclock,
-            is_na=is_na,
-        )
-        cell.history.append(msg)
+        history = cell.history
+        msg = _message(
+            Message, (loc, len(history), val, view, writer, wclock, is_na))
+        history.append(msg)
         if is_na:
             cell.has_na_write = True
         return msg

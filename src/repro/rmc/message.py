@@ -15,14 +15,12 @@ substitution 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional
 
 from .view import View
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """A single write message in a location's history.
 
     Attributes:
@@ -42,6 +40,10 @@ class Message:
             double as vector clocks over these counters, which is how the
             race detector decides happens-before (see `repro.rmc.races`).
         is_na: whether the write was non-atomic.
+
+    A named tuple: immutable, equal to any message with equal fields,
+    and cheap to build — the machine builds one per write and one per
+    allocation.
     """
 
     loc: int
@@ -53,24 +55,24 @@ class Message:
     is_na: bool
 
 
-@dataclass
 class Location:
     """A memory cell: identity, debug name, and its write history."""
 
-    loc: int
-    name: str
-    history: List[Message] = field(default_factory=list)
-    #: Per-thread clock of the latest non-atomic read (race detection).
-    na_read_marks: Dict[int, int] = field(default_factory=dict)
-    #: Per-thread clock of the latest atomic read (race detection: an
-    #: atomic read races with an unordered later non-atomic write).
-    at_read_marks: Dict[int, int] = field(default_factory=dict)
-    #: Fast path: locations never touched non-atomically skip race scans.
-    has_na_write: bool = False
+    __slots__ = ("loc", "name", "history", "na_read_marks", "at_read_marks",
+                 "has_na_write")
 
-    @property
-    def next_ts(self) -> int:
-        return len(self.history)
+    def __init__(self, loc: int, name: str,
+                 history: Optional[List[Message]] = None):
+        self.loc = loc
+        self.name = name
+        self.history: List[Message] = [] if history is None else history
+        #: Per-thread clock of the latest non-atomic read (race detection).
+        self.na_read_marks: Dict[int, int] = {}
+        #: Per-thread clock of the latest atomic read (race detection: an
+        #: atomic read races with an unordered later non-atomic write).
+        self.at_read_marks: Dict[int, int] = {}
+        #: Fast path: locations never touched non-atomically skip race scans.
+        self.has_na_write = False
 
     @property
     def latest(self) -> Message:

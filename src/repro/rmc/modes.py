@@ -23,19 +23,14 @@ class Mode(enum.Enum):
     ACQ_REL = "acq_rel"
     SC = "sc"
 
-    @property
-    def is_acquire(self) -> bool:
-        """Does a read at this mode acquire the message view?"""
-        return self in (Mode.ACQ, Mode.ACQ_REL, Mode.SC)
-
-    @property
-    def is_release(self) -> bool:
-        """Does a write at this mode release the thread's full view?"""
-        return self in (Mode.REL, Mode.ACQ_REL, Mode.SC)
-
-    @property
-    def is_atomic(self) -> bool:
-        return self is not Mode.NA
+    def __init__(self, value: str):
+        # Plain member attributes rather than properties: the step
+        # rules read them on every access.
+        #: Does a read at this mode acquire the message view?
+        self.is_acquire = value in ("acq", "acq_rel", "sc")
+        #: Does a write at this mode release the thread's full view?
+        self.is_release = value in ("rel", "acq_rel", "sc")
+        self.is_atomic = value != "na"
 
     def __repr__(self) -> str:
         return f"Mode.{self.name}"

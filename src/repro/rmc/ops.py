@@ -30,7 +30,7 @@ Hook signature: ``hook(ctx: CommitCtx) -> None``; see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, NamedTuple, Optional
 
 from .modes import Mode
 
@@ -139,8 +139,7 @@ Op = Any  # union of the above, kept loose for speed
 # Operation footprints (the DPOR interface; see `repro.rmc.dpor`)
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Footprint:
+class Footprint(NamedTuple):
     """What one pending operation can touch, as seen by the scheduler.
 
     The machine computes the footprint of a thread's *pending* operation
@@ -154,6 +153,8 @@ class Footprint:
     ``hooked`` marks operations carrying a commit hook (hooks share the
     global commit sequence and the library event registry, so hooked
     steps never commute with each other).
+
+    A named tuple: immutable, value-equal, and cheap to build.
     """
 
     thread: int

@@ -96,34 +96,42 @@ class View:
             small, big, big_view = a, b, other
         else:
             small, big, big_view = b, a, self
+        if small.items() <= big.items():
+            return big_view  # every entry shared: a set test in C
         for k, v in small.items():
             if big.get(k, 0) < v:
                 break
         else:
             return big_view
-        merged = dict(big)
+        merged = big.copy()
         for k, v in small.items():
             if merged.get(k, 0) < v:
                 merged[k] = v
-        out = View.__new__(View)
+        out = _new(View)
         out._m = merged
         return out
 
     def extend(self, component: int, ts: int) -> "View":
         """This view with ``component`` raised to at least ``ts``."""
-        if self._m.get(component, 0) >= ts:
+        m = self._m
+        if m.get(component, 0) >= ts:
             return self
-        merged = dict(self._m)
+        merged = m.copy()
         merged[component] = ts
-        out = View.__new__(View)
+        out = _new(View)
         out._m = merged
         return out
 
     def restrict(self, components) -> "View":
         """Project the view onto a set of components (used by tests)."""
-        out = View.__new__(View)
+        out = _new(View)
         out._m = {k: v for k, v in self._m.items() if k in components}
         return out
+
+
+#: Builds a `View` without running ``__init__``'s zero filter; the
+#: lattice operations fill ``_m`` themselves.
+_new = object.__new__
 
 
 #: The bottom view: observes only initialization messages.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import pytest
@@ -50,6 +51,24 @@ def closed(*event_specs, so=()):
     events = [mk_event(eid, kind, preds[eid], idx)
               for idx, (eid, kind, _d) in enumerate(event_specs)]
     return mk_graph(events, so)
+
+
+def assert_value_record(record, fields: Sequence[str]) -> None:
+    """The contract of the machine's records (`Message`, `Footprint`,
+    `Event`): no field can be assigned, a record built from equal fields
+    compares and hashes equal, and a pickle round trip (pool IPC) gives
+    an equal record of the same type."""
+    values = {name: getattr(record, name) for name in fields}
+    for name, value in values.items():
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+    assert {name: getattr(record, name) for name in fields} == values
+    twin = type(record)(**values)
+    assert twin is not record
+    assert twin == record and hash(twin) == hash(record)
+    back = pickle.loads(pickle.dumps(record))
+    assert type(back) is type(record) and back == record
+    assert hash(back) == hash(record)
 
 
 @pytest.fixture

@@ -2,14 +2,17 @@
 
 import pytest
 
+from repro.checking.matrix import default_implementations
 from repro.core.event import (EMPTY, FAILED, Deq, Enq, Event, Exchange,
                               Pop, Push, Steal, Take)
 from repro.libs.base import LibraryObject, Payload
-from repro.rmc import Memory
+from repro.rmc import Memory, explore_random
 from repro.rmc.modes import (ACQ, ACQ_REL, FENCE_MODES, Mode, NA,
                              READ_MODES, REL, RLX, RMW_MODES, SC,
                              WRITE_MODES)
 from repro.rmc.view import View
+
+from ..conftest import assert_value_record, mk_event
 
 
 class TestModes:
@@ -86,3 +89,32 @@ class TestPayloadAndBase:
         assert lib.registry.name == "thing"
         g = lib.graph()
         assert len(g.events) == 0 and g.so == frozenset()
+
+
+class TestEventRecord:
+    """Events are immutable value records: registries build one per
+    commit and graphs, corpora and pool results carry them."""
+
+    FIELDS = ("eid", "kind", "view", "logview", "thread", "commit_index")
+
+    def test_synthetic_events(self):
+        for kind in (Enq(1), Deq(EMPTY), Push((2, 3)), Exchange(4, FAILED)):
+            assert_value_record(mk_event(3, kind, [1, 2], 5, thread=1),
+                                self.FIELDS)
+
+    def test_committed_events_of_an_execution(self):
+        impl, = [i for i in default_implementations()
+                 if i.name == "ms-queue/ra"]
+        scenario = impl.scenario(3, 2, 0)
+        checked = 0
+        for result in explore_random(scenario.factory, runs=5, seed=1,
+                                     max_steps=20_000):
+            for case in scenario.extract(result):
+                for event in case.graph.events.values():
+                    assert_value_record(event, self.FIELDS)
+                    checked += 1
+        assert checked
+
+    def test_repr_names_the_event(self):
+        ev = mk_event(3, Enq(1), [], 5, thread=2)
+        assert repr(ev) == "Event(e3, Enq(val=1), t2, @5)"

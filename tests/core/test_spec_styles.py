@@ -1,11 +1,21 @@
 """Spec-style checker tests: the ladder's distinguishing behaviours."""
 
 import pytest
+from hypothesis import given, settings
 
+from repro.checking.matrix import default_implementations
+from repro.checking.runner import elim_stack_cases
 from repro.core import (Deq, EMPTY, Enq, Pop, Push, SpecStyle, check_style)
-from repro.core.spec_styles import IMPLICATIONS
+from repro.core.consistency.base import Violation
+from repro.core.graph import Graph
+from repro.core.spec_styles import (CONSISTENCY, IMPLICATIONS,
+                                    _abstract_replay, _so_view_transfer,
+                                    check_linearizable_history)
+from repro.engine.catalog import exchanger_pair_scenario, wsdeque_scenario
+from repro.rmc import explore_random
 
 from ..conftest import closed
+from .test_mutation_properties import corrupted_graph, corrupted_stack_graph
 
 
 def ok(graph, kind, style, to=None):
@@ -122,3 +132,121 @@ class TestLadderStructure:
         for style in SpecStyle:
             assert any(v.rule == "WELLFORMED" for v in
                        check_style(bad, "queue", style).violations)
+
+
+# ----------------------------------------------------------------------
+# Shared spec parts: computed once per graph, equal to per-style work
+# ----------------------------------------------------------------------
+
+STYLES = tuple(SpecStyle)
+
+
+def reference_check(graph, kind, style, to=None):
+    """Every part recomputed for the one style, in the checker's order."""
+    violations = [Violation("WELLFORMED", msg)
+                  for msg in graph.wellformedness_errors()]
+    if style is SpecStyle.SEQ:
+        violations.extend(_so_view_transfer(graph))
+        violations.extend(_abstract_replay(graph, kind, strict_empty=True))
+    elif style is SpecStyle.LAT_SO_ABS:
+        violations.extend(_so_view_transfer(graph))
+        violations.extend(_abstract_replay(graph, kind, strict_empty=False))
+    elif style is SpecStyle.LAT_HB_ABS:
+        violations.extend(CONSISTENCY[kind](graph))
+        violations.extend(_abstract_replay(graph, kind, strict_empty=False))
+    elif style is SpecStyle.LAT_HB:
+        violations.extend(CONSISTENCY[kind](graph))
+    else:
+        violations.extend(CONSISTENCY[kind](graph))
+        violations.extend(check_linearizable_history(graph, kind, to=to))
+    return violations
+
+
+def outcome(check, graph, kind, style, to):
+    """A comparable record of one check: its violations, or what it
+    raised (some parts reject a kind they do not model)."""
+    try:
+        out = check(graph, kind, style, to)
+    except Exception as err:  # noqa: BLE001 — compared, not hidden
+        return ("raised", type(err).__name__, str(err))
+    violations = out if isinstance(out, list) else out.violations
+    if not isinstance(out, list):
+        assert out.style is style and out.ok == (not violations)
+    return [(v.rule, v.detail) for v in violations]
+
+
+def assert_shared_equals_reference(graph, kind, to=None):
+    want = {s: outcome(reference_check, graph, kind, s, to) for s in STYLES}
+    for order in (STYLES, STYLES[::-1]):
+        # A fresh snapshot per order: every order starts with no parts.
+        fresh = Graph(events=graph.events, so=graph.so)
+        got = {s: outcome(check_style, fresh, kind, s, to) for s in order}
+        assert got == want, [s for s in STYLES if got[s] != want[s]]
+        # Checked again, every part now comes from the memo.
+        again = {s: outcome(check_style, fresh, kind, s, to)
+                 for s in order}
+        assert again == want
+
+
+def library_cases():
+    """Graph cases from random executions of every catalogue library, on
+    the matrix's t3xo3 shape and schedule seed (where hw-queue/rlx and
+    vyukov-queue/rlx already fail the *_abs styles)."""
+    scenarios = []
+    for impl in default_implementations():
+        scenario = impl.scenario(3, 3, 1)
+        if impl.name == "elim-stack":
+            scenario.extract = elim_stack_cases("lib")
+        scenarios.append((impl.name, scenario))
+    scenarios.append(("exchanger", exchanger_pair_scenario(threads=3)))
+    scenarios.append(("wsdeque", wsdeque_scenario()))
+    out = []
+    for name, scenario in scenarios:
+        for result in explore_random(scenario.factory, runs=12,
+                                     seed=1 * 977 + 13, max_steps=20_000):
+            if result.ok:
+                out.extend((name, case) for case in scenario.extract(result))
+    return out
+
+
+LIBRARY_CASES = library_cases()
+
+
+class TestSharedSpecParts:
+    def test_every_library_and_failing_row_is_covered(self):
+        names = {name for name, _case in LIBRARY_CASES}
+        assert names >= {impl.name for impl in default_implementations()}
+        assert {"exchanger", "wsdeque"} <= names
+        labels = {case.label for name, case in LIBRARY_CASES
+                  if name == "elim-stack"}
+        assert labels == {"elim-stack", "exchanger"}
+        # The rows that fail the *_abs styles do fail here.
+        for row in ("hw-queue/rlx", "vyukov-queue/rlx"):
+            assert any(not check_style(case.graph, case.kind,
+                                       SpecStyle.LAT_HB_ABS).ok
+                       for name, case in LIBRARY_CASES if name == row), row
+
+    @pytest.mark.parametrize("library",
+                             sorted({name for name, _c in LIBRARY_CASES}))
+    def test_library_graphs(self, library):
+        for name, case in LIBRARY_CASES:
+            if name == library:
+                assert_shared_equals_reference(case.graph, case.kind,
+                                               case.to)
+
+    @pytest.mark.parametrize("g", [FIFO_COMMITS, NON_FIFO_COMMITS,
+                                   EMPTY_WHILE_NONEMPTY])
+    def test_hand_built_graphs(self, g):
+        assert_shared_equals_reference(g, "queue")
+        assert_shared_equals_reference(g, "queue", to=[0, 1, 3, 2]
+                                       if len(g) == 4 else None)
+
+    @given(corrupted_graph())
+    @settings(max_examples=60, deadline=None)
+    def test_corrupted_queue_graphs(self, g):
+        assert_shared_equals_reference(g, "queue")
+
+    @given(corrupted_stack_graph())
+    @settings(max_examples=60, deadline=None)
+    def test_corrupted_stack_graphs(self, g):
+        assert_shared_equals_reference(g, "stack")

@@ -22,12 +22,14 @@ Four layers pin it:
   must run under the cap that result was explored with, and a lie the
   audit repairs must not move the cut;
 * a distributed node still exploring a shard past the cap when the
-  coordinator settles exits cleanly.
+  coordinator settles exits cleanly, also when the node's connection
+  thread sees the stop before the shutdown broadcast is sent.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from typing import Dict, Optional, Tuple
 
 import pytest
@@ -97,17 +99,21 @@ def pool_run(spec: ScenarioSpec, params: EngineParams, tmp_dir: str):
 
 
 def dist_run(spec: ScenarioSpec, params: EngineParams,
-             max_reconnects: int = 0, tick: float = 0.05):
+             max_reconnects: int = 0, tick: float = 0.05,
+             stop: Optional[threading.Event] = None):
     """A coordinator and two in-thread worker nodes, as in test_dist.
 
     Returns the result and the nodes' exit codes (None: still running
     a few seconds after the coordinator settled).  A tiny run can settle
     before the second node connects; with no reconnect budget that node
-    exits at once instead of retrying in the background.
+    exits at once instead of retrying in the background.  ``stop``
+    replaces the coordinator's stop event.
     """
     coord = Coordinator(params, spec,
                         DistParams(lease_seconds=5.0, node_wait_seconds=20.0,
                                    tick=tick, idle_wait=0.05))
+    if stop is not None:
+        coord._stop = stop
     box: Dict = {}
     codes = [None, None]
     server = threading.Thread(
@@ -308,11 +314,9 @@ class TestAuditAndHedgeUnderCap:
 
 
 class TestNodesReleasedAtTheCap:
-    def test_node_inside_a_dropped_shard_exits_cleanly(self):
-        """The coordinator settles at the cap while the other node is
-        still inside shard 1, pinned there by a slow-worker delay.  On
-        the coordinator's ``done`` that node exits 0 at once, instead of
-        spending its reconnect budget on a coordinator that is gone."""
+    def _dropped_shard_run(self, stop: Optional[threading.Event]) -> None:
+        """A capped dist run that settles while one node is still inside
+        a shard past the cut; both nodes must exit 0."""
         spec = SCENARIOS["vyukov-queue/rlx t2xo2 seed 1"]
         mode = (True, True, 300)
         serial = serial_report(spec, 100, mode, "orc11")
@@ -325,6 +329,31 @@ class TestNodesReleasedAtTheCap:
             Fault("hedge.slow_worker", "delay", shard=1, attempt=1,
                   delay_seconds=30.0)))
         with plan:
-            result, codes = dist_run(spec, params, max_reconnects=8)
+            result, codes = dist_run(spec, params, max_reconnects=8,
+                                     stop=stop)
         assert_equals_serial(result, serial)
         assert codes == [0, 0]
+
+    def test_node_inside_a_dropped_shard_exits_cleanly(self):
+        """The coordinator settles at the cap while the other node is
+        still inside shard 1, pinned there by a slow-worker delay.  On
+        the coordinator's ``done`` that node exits 0 at once, instead of
+        spending its reconnect budget on a coordinator that is gone."""
+        self._dropped_shard_run(None)
+
+    def test_done_reaches_a_node_whose_connection_stops_first(self):
+        """The same run, with the coordinator's shutdown held back after
+        it signals stop: every connection thread sees the stop and closes
+        before the shutdown broadcast is sent.  Each must still put
+        ``done`` on the wire first, or the pinned node reads a bare close
+        and spends its reconnect budget."""
+        self._dropped_shard_run(SlowStop())
+
+
+class SlowStop(threading.Event):
+    """A stop event whose ``set`` returns only after 0.6 s, longer than
+    a coordinator connection thread's receive poll."""
+
+    def set(self) -> None:
+        super().set()
+        time.sleep(0.6)

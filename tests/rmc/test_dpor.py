@@ -20,6 +20,7 @@ from repro.rmc import machine as machine_mod
 from repro.rmc.dpor import DporStats, _next_prefix, independent
 from repro.rmc.explore import RACE_TRACE_CAP, ExplorationStats
 from repro.rmc.litmus import CATALOGUE, na_publication, outcomes
+from tests.conftest import assert_value_record
 from tests.engine._support import assert_reports_equal, hw_spec, vyukov_spec
 
 
@@ -76,9 +77,28 @@ class TestFootprint:
         # Non-atomics stay non-atomic under the upgrade.
         assert not op_footprint(0, Load(1, NA), sc_upgrade=True).sc
 
+    #: One footprint of every kind, hooked and not, plain and seq-cst.
+    EVERY_KIND = (
+        Footprint(3, "rmw", 17, RLX.value, True, True),
+        op_footprint(1, Load(5, ACQ)),
+        op_footprint(0, Store(3, 7, SC, commit=lambda ctx: None)),
+        op_footprint(2, Cas(4, 0, 1, RLX, commit_fail=lambda ctx: None)),
+        op_footprint(1, Fence(SC)),
+        op_footprint(0, Alloc([0])),
+        op_footprint(0, GhostCommit(lambda ctx: None)),
+        op_footprint(2, Load(9, NA), sc_upgrade=True),
+    )
+
     def test_json_round_trip(self):
-        fp = Footprint(3, "rmw", 17, RLX.value, True, True)
-        assert Footprint.from_json(fp.to_json()) == fp
+        for fp in self.EVERY_KIND:
+            back = Footprint.from_json(fp.to_json())
+            assert back == fp and hash(back) == hash(fp)
+            assert type(back) is Footprint
+
+    def test_immutable_value_record(self):
+        for fp in self.EVERY_KIND:
+            assert_value_record(fp, ("thread", "kind", "loc", "mode", "sc",
+                                     "hooked"))
 
 
 class TestIndependence:

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.rmc import NA, RLX, Memory, View
+from repro.rmc import NA, RLX, Memory, View, explore_all
+from repro.rmc.litmus import CATALOGUE
 from repro.rmc.view import EMPTY_VIEW
+from tests.conftest import assert_value_record
 
 
 class TestAllocation:
@@ -98,3 +100,33 @@ class TestReadMarks:
         cell = mem.location(loc)
         assert cell.na_read_marks[1] == 2
         assert cell.at_read_marks[1] == 7
+
+
+MESSAGE_FIELDS = ("loc", "ts", "val", "view", "writer", "wclock", "is_na")
+
+
+class TestMessageRecord:
+    """Messages are immutable value records, whoever builds them."""
+
+    def test_appended_and_init_messages(self):
+        mem = Memory()
+        loc = mem.alloc("x", (7, "payload"))
+        mem.append(loc, 1, View({loc: 1, 99: 4}), 0, 3, is_na=True)
+        mem.append(loc, None, EMPTY_VIEW, 1, 2, is_na=False)
+        for msg in mem.location(loc).history:
+            assert_value_record(msg, MESSAGE_FIELDS)
+
+    @pytest.mark.parametrize("name", sorted(CATALOGUE))
+    def test_messages_of_litmus_executions(self, name):
+        for result in explore_all(CATALOGUE[name]):
+            for cell in result.memory.locations.values():
+                for msg in cell.history:
+                    assert_value_record(msg, MESSAGE_FIELDS)
+
+    def test_equal_fields_equal_messages_across_memories(self):
+        a, b = Memory(), Memory()
+        la, lb = a.alloc("x", 5), b.alloc("y", 5)
+        assert la == lb
+        assert a.latest(la) == b.latest(lb)
+        assert a.append(la, 1, EMPTY_VIEW, 0, 1, False) != \
+            b.append(lb, 1, EMPTY_VIEW, 0, 1, True)
