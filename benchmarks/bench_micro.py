@@ -290,7 +290,7 @@ class TestEngineOverhead:
 
         The same exhaustive scenario runs clean and with a
         crash-on-first-attempt fault plan; the recovery machinery
-        (heartbeat attribution, pool rebuild, single-shard requeue) shows
+        (lease requeue on the closed channel, a replacement node) shows
         up as the wall-clock delta, while the merged counts must be
         unaffected.
         """

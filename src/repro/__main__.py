@@ -31,7 +31,7 @@ the parallel-engine flag group:
     --corpus PATH     persist every failing trace as a replayable
                       JSONL corpus entry
     --corpus-cap N    cap on persisted corpus entries per run
-    --shard-timeout S hung-worker watchdog window
+    --shard-timeout S a local worker's lease: hung after S s without a beat
     --max-retries N   per-shard retry budget (with jittered exponential
                       backoff between attempts)
     --shard-seconds / --run-seconds / --max-rss-mb
@@ -615,8 +615,9 @@ def main(argv=None) -> int:
                         help="replay: only this corpus entry index")
     engine.add_argument("--shard-timeout", type=float, default=None,
                         metavar="SECONDS",
-                        help="hung-worker watchdog window (<= 0 to wait "
-                             "forever; default 300)")
+                        help="a local worker's lease: seconds without a "
+                             "beat before it is killed and replaced (<= 0 "
+                             "to wait forever; default 300)")
     engine.add_argument("--shard-seconds", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock budget per shard; on breach the "

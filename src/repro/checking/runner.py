@@ -287,12 +287,10 @@ def check_scenario(
     max_executions: int = 100_000,
     workers: int = 1,
     spec=None,
-    split_depth: Optional[int] = None,
     checkpoint: Optional[str] = None,
     corpus: Optional[str] = None,
     progress: bool = False,
     max_retries: int = 2,
-    retry_backoff: float = 0.05,
     start_method: Optional[str] = None,
     shard_timeout: Optional[float] = -1.0,
     shard_seconds: Optional[float] = None,
@@ -309,8 +307,8 @@ def check_scenario(
     With ``workers > 1`` (or any of ``checkpoint``/``corpus``/
     ``progress``/the budgets) the exploration is delegated to the
     parallel engine (`repro.engine`): the decision tree (exhaustive
-    mode) or seed range (randomized mode) is sharded across a process
-    pool and the per-shard partial reports are merged back —
+    mode) or seed range (randomized mode) is sharded across local
+    worker processes and the per-shard partial reports are merged back —
     byte-for-byte equal to the serial run, modulo ``seconds``.  ``spec``
     optionally names the scenario in the engine's builder registry so
     corpus entries stay replayable across processes.  However the run
@@ -321,9 +319,9 @@ def check_scenario(
     ``shard_seconds``/``run_seconds``/``max_rss_mb`` are graceful
     degradation budgets (see ``docs/robustness.md``): on breach the run
     returns a partial report flagged ``budget_exhausted`` with coverage
-    accounting instead of dying.  ``shard_timeout`` is the hung-worker
-    watchdog window (pass None for wait-forever; the default sentinel
-    keeps the engine's default).
+    accounting instead of dying.  ``shard_timeout`` is a local node's
+    lease: seconds without a beat before it counts as hung (pass None
+    for wait-forever; the default sentinel keeps the engine's default).
 
     ``dpor`` controls sleep-set partial-order reduction
     (`repro.rmc.dpor`): on by default in exhaustive mode, ignored in
@@ -381,9 +379,8 @@ def check_scenario(
     params = EngineParams(
         styles=tuple(styles), exhaustive=exhaustive, runs=runs, seed=seed,
         max_steps=max_steps, max_executions=max_executions,
-        workers=workers, split_depth=split_depth,
-        checkpoint_path=checkpoint, corpus_path=corpus, progress=progress,
-        max_retries=max_retries, retry_backoff=retry_backoff,
+        workers=workers, checkpoint_path=checkpoint, corpus_path=corpus,
+        progress=progress, max_retries=max_retries,
         start_method=start_method, shard_seconds=shard_seconds,
         run_seconds=run_seconds, max_rss_mb=max_rss_mb, dpor=dpor,
         model=model, hedge=hedge, audit_fraction=audit_fraction)

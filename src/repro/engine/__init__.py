@@ -1,20 +1,20 @@
 """`repro.engine` — the parallel exploration engine.
 
-Scales the stateless replay explorers (`repro.rmc.explore`) across a
-process pool, with checkpoint/resume and a persistent counterexample
-corpus.  The decision-tree prefix *is* a resumable work item: disjoint
+Scales the stateless replay explorers (`repro.rmc.explore`) across
+worker nodes — local processes or remote machines, leased shards either
+way — with checkpoint/resume and a persistent counterexample corpus.  The decision-tree prefix *is* a resumable work item: disjoint
 prefixes are disjoint subtrees whose union is exactly the serial
 enumeration, so sharded runs merge to byte-for-byte the serial report.
 
 * shard (`repro.engine.shard`): prefix/seed-range work items;
-* pool (`repro.engine.pool`): the driver — fan out, watch, retry, merge;
+* pool (`repro.engine.pool`): the local driver — plan, start local
+  nodes, merge — over the lease loop of `repro.engine.dist`, which owns
+  retries, hedging, audits and the execution cut for every run;
 * merge (`repro.engine.merge`): shard-ordered report merging + JSON;
 * durable (`repro.engine.durable`): CRC-framed JSONL with tolerant,
   quarantine-on-corruption loading;
 * checkpoint (`repro.engine.checkpoint`): JSONL completed-shard log;
 * corpus (`repro.engine.corpus`): replayable failing traces;
-* health (`repro.engine.health`): worker heartbeats + hung-worker
-  watchdog;
 * budget (`repro.engine.budget`): wall-clock/RSS budgets and coverage
   accounting for graceful degradation;
 * faults (`repro.engine.faults`): deterministic fault injection —
@@ -46,14 +46,11 @@ from .corpus import (CORPUS_CAP, CorpusEntry, CorpusSink, ModelMismatch,
 from .durable import LineDiagnostics, append_line, read_records
 from .faults import (CRASH_EXIT_CODE, FAULT_PLAN_ENV, Fault, FaultInjected,
                      FaultPlan, fault_point)
-from .health import (Heartbeat, HeartbeatMonitor, HeartbeatWriter,
-                     kill_worker, pid_alive)
 from .merge import (merge_reports, report_from_json, report_to_json,
                     stats_from_json, stats_to_json, tally_from_json,
                     tally_to_json, trace_from_json)
 from .pool import (DEFAULT_SHARD_TIMEOUT, EngineParams, EngineResult,
-                   ResultCorrupt, ShardFailed, plan_shards, plan_shards_ex,
-                   run_scenario)
+                   ResultCorrupt, ShardFailed, plan_shards_ex, run_scenario)
 from .registry import (ScenarioSpec, build_scenario, register_scenario,
                        registered_builders)
 from .shard import (SHARDS_PER_WORKER, Shard, iter_shard,
@@ -65,7 +62,7 @@ from .vfs import (DurableWriteError, IoOp, OsVFS, TraceVFS,
 
 __all__ = [
     "EngineParams", "EngineResult", "ShardFailed", "ResultCorrupt",
-    "run_scenario", "plan_shards", "plan_shards_ex",
+    "run_scenario", "plan_shards_ex",
     "DEFAULT_SHARD_TIMEOUT",
     "Shard", "iter_shard", "plan_exhaustive_shards",
     "plan_exhaustive_shards_dpor", "plan_random_shards",
@@ -81,8 +78,6 @@ __all__ = [
     "LineDiagnostics", "append_line", "read_records",
     "Fault", "FaultPlan", "FaultInjected", "fault_point",
     "FAULT_PLAN_ENV", "CRASH_EXIT_CODE",
-    "Heartbeat", "HeartbeatWriter", "HeartbeatMonitor", "kill_worker",
-    "pid_alive",
     "BudgetSpec", "BudgetTracker", "Coverage", "rss_mb",
     "ScenarioSpec", "register_scenario", "build_scenario",
     "registered_builders",

@@ -17,8 +17,8 @@ byte-identical report.  The audit layer exploits that:
   the same interpreter that defines the serial baseline — and compares
   fingerprints.  A mismatch is definitive: the origin worker lied.
   The driver then emits a structured :class:`DivergenceFinding`,
-  quarantines the origin (pool: recycle every worker; dist: refuse the
-  node further grants), substitutes the trusted re-execution into the
+  quarantines the origin (refuses the node further grants; a local run
+  also kills and replaces its process), substitutes the trusted re-execution into the
   merge, and charges the event in `repro.engine.budget.Coverage` as
   degraded-not-exhausted;
 * :func:`bisect_divergence` — structural descent through the two report
@@ -213,14 +213,8 @@ def divergence_witness(finding: DivergenceFinding,
 
 def params_from_fingerprint(data: Dict[str, Any]):
     """Rebuild result-determining `EngineParams` from a witness entry."""
-    from ..core.spec_styles import SpecStyle
     from .pool import EngineParams
-    return EngineParams(
-        styles=tuple(SpecStyle[name] for name in data["styles"]),
-        exhaustive=data["exhaustive"], runs=data["runs"],
-        seed=data["seed"], max_steps=data["max_steps"],
-        max_executions=data["max_executions"], dpor=data["dpor"],
-        model=data.get("model", "orc11"))
+    return EngineParams.from_wire(data)
 
 
 def replay_divergence(entry: CorpusEntry,
@@ -265,7 +259,7 @@ def replay_divergence(entry: CorpusEntry,
 
 @dataclass
 class AuditLog:
-    """Driver-side audit bookkeeping shared by pool and dist loops."""
+    """Driver-side audit bookkeeping of the coordinator's lease loop."""
 
     sampler: AuditSampler
     audits_done: int = 0

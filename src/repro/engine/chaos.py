@@ -18,10 +18,10 @@ the quarantined line and heals the corpus idempotently.
 
 The matrix is intentionally small and deterministic — it is a smoke
 test run in CI on every push (see ``.github/workflows/ci.yml``), not a
-fuzzer.  Faults that take the driver process itself down (crash/hang)
-are only scheduled for pool cells (``workers >= 2``): inline execution
-shares the driver's process, where "kill the worker" would mean "kill
-the test".
+fuzzer.  Faults that take a node down (crash/hang) are only scheduled
+for cells with node processes (``workers >= 2``): a one-worker run's
+single node is a thread of the driver, where "kill the node" would mean
+"kill the test".
 
 A second, **distributed** section (`build_dist_cases`) runs the same
 workload through the coordinator/node transport (`repro.engine.dist`)
@@ -70,8 +70,9 @@ CHAOS_SPEC = ScenarioSpec("mixed-stress",
 
 CHAOS_STYLES: Tuple[SpecStyle, ...] = (SpecStyle.LAT_HB,)
 CHAOS_RUNS = 40
-#: Watchdog window for chaos cells: long enough that a healthy loaded
-#: worker never trips it, short enough that the hang cells stay quick.
+#: A local node's lease in chaos cells: long enough that a healthy
+#: loaded node never loses it, short enough that the hang cells stay
+#: quick.
 CHAOS_SHARD_TIMEOUT = 2.0
 CHAOS_HEARTBEAT = 0.05
 
@@ -261,7 +262,7 @@ def build_cases(max_workers: int = 2) -> List[ChaosCase]:
         for w in counts:
             tag = f"{mode}/w{w}"
             # Transient exception on shard 1's first attempt: the retry
-            # path, exercised inline and pooled alike.
+            # path, on a node thread and on node processes alike.
             cases.append(ChaosCase(
                 name=f"{tag}/raise",
                 plan=FaultPlan((Fault("worker.explore", "raise",
@@ -287,16 +288,21 @@ def build_cases(max_workers: int = 2) -> List[ChaosCase]:
                 durable=True, resume=True))
             if w < 2:
                 continue  # crash/hang/corrupt would take the driver down
+            # A node process dying mid-shard: its channel closes, the
+            # lease is requeued (a retry) and the node replaced.
             cases.append(ChaosCase(
                 name=f"{tag}/crash",
                 plan=FaultPlan((Fault("worker.explore", "crash",
                                       shard=1, attempt=1),)),
-                workers=w, exhaustive=exhaustive))
+                workers=w, exhaustive=exhaustive, want_counter="retries"))
+            # A node hanging mid-shard: its beats stop, the lease
+            # expires, and the node is SIGKILLed and replaced.
             cases.append(ChaosCase(
                 name=f"{tag}/hang",
                 plan=FaultPlan((Fault("worker.explore", "hang",
                                       shard=1, attempt=1),)),
-                workers=w, exhaustive=exhaustive))
+                workers=w, exhaustive=exhaustive,
+                want_counter="hung_killed"))
             cases.append(ChaosCase(
                 name=f"{tag}/corrupt-result",
                 plan=FaultPlan((Fault("worker.result", "corrupt",
@@ -315,8 +321,8 @@ def build_cases(max_workers: int = 2) -> List[ChaosCase]:
                 durable=True, resume=True))
     if max_workers >= 2:
         # A worker pinned 2.5 s inside shard 1 — slow, not hung: the
-        # delay site keeps heartbeating, so the watchdog stays quiet
-        # and only hedging can rescue the shard.  The adaptive deadline
+        # delay site keeps beating, so its lease stays renewed and only
+        # hedging can rescue the shard.  The adaptive deadline
         # must fire, the speculative duplicate must win, and the merge
         # must still be byte-for-byte serial.
         cases.append(ChaosCase(

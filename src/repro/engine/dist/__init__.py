@@ -1,10 +1,11 @@
-"""`repro.engine.dist` — fault-tolerant distributed exploration.
+"""`repro.engine.dist` — the engine's lease loop, local or distributed.
 
-Takes the sharded exploration engine beyond one machine: a
-**coordinator** plans shards exactly as the local pool does and hands
-them to connected **worker nodes** as *leases* over a line-oriented
-JSONL TCP protocol.  Every piece reuses an engine invariant that already
-exists:
+A **coordinator** plans shards and hands them to **worker nodes** as
+*leases* over a line-oriented JSONL protocol.  Every engine run goes
+through it: a local run (`repro.engine.pool.run_scenario`) attaches its
+own node processes over socketpairs, a distributed run serves nodes on
+other machines over TCP.  Every piece reuses an engine invariant that
+already exists:
 
 * the wire format is the durable-log line discipline
   (`repro.engine.durable`): versioned, CRC-framed JSONL — a torn or
@@ -13,12 +14,11 @@ exists:
 * shards are handed out as leases with **monotonic fencing tokens**
   (`repro.engine.dist.lease`): a node that vanishes and resurrects can
   only submit a stale token, which is rejected, never double-counted;
-* node liveness federates through the same heartbeat idea as the local
-  pool, carried in-band: beats renew exactly the lease they name, so a
-  grant the node never saw expires honestly
+* node liveness is carried in-band: beats renew exactly the lease they
+  name, so a grant the node never saw expires honestly
   (`repro.engine.dist.coordinator`);
-* a worker node is a thin loop around the pool's single-shard
-  exploration path, reconnecting with jittered exponential backoff
+* a worker node is a thin loop around the single-shard exploration
+  path; a remote one reconnects with jittered exponential backoff
   (`repro.engine.dist.node`);
 * the merge is `repro.engine.pool.finalize_run` — shard-ordered, with
   honest `Coverage` when nodes never return — so a 2-node run with one

@@ -1,54 +1,64 @@
-"""The distributed driver: plan shards, lease them out, merge honestly.
+"""The lease loop: plan shards, lease them to nodes, merge honestly.
 
-The coordinator is the local pool driver (`repro.engine.pool`) with the
-process pool swapped for a lease table over TCP.  Everything
-result-determining is unchanged: shards come from `plan_shards_ex`,
-resumed shards come from the same fingerprinted checkpoint, and the
-merge is literally `finalize_run` — which is why a distributed run is
+Every engine run goes through this loop.  A distributed run serves
+remote nodes over TCP; a local run (`repro.engine.pool.run_scenario`)
+serves the run's own node processes over socketpair channels, which the
+local transport (`repro.engine.pool._run_pool`) starts, kills and
+replaces.  Everything result-determining is shared: shards come from
+`plan_shards_ex`, resumed shards come from the fingerprinted checkpoint,
+and the merge is literally `finalize_run` — which is why every run is
 byte-for-byte the serial report, and why a degraded run (nodes lost,
 retry budgets spent) reports truncated `Coverage` instead of lying.
 
 Liveness federates through the protocol's in-band heartbeats: a node
 beat names the ``(shard_id, token)`` it is working under, and renews
 exactly that lease (`LeaseTable.renew`).  A node that dies mid-shard
-stops beating, its lease expires on the next tick, and the shard is
-requeued to another node with the dead one excluded.  A node that was
-merely paused and submits after expiry presents a fenced-off token and
-is counted once — as `results_fenced`, not as coverage.
+stops beating, its lease expires, and the shard is requeued to another
+node with the dead one excluded.  A node that was merely paused and
+submits after expiry presents a fenced-off token and is counted once —
+as `results_fenced`, not as coverage.  Every lease that ends without a
+result spends an attempt and counts as a retry.
 
-The run-wide execution cap works as in the pool: once the completed
-shards, taken in order, reach ``max_executions``, every later shard is
-dropped from the lease table — never granted, never waited for — and
-the run settles (`repro.engine.pool.execution_cut`).
+The run-wide execution cap: once the completed shards, taken in order,
+reach ``max_executions``, every later shard is dropped from the lease
+table — never granted, never waited for — and the run settles
+(`repro.engine.pool.execution_cut`).
 
 Failure handling is three nested safety nets:
 
 1. connection loss -> `release_node` requeues the node's leases now;
 2. silent hang -> the lease deadline expires without renewal;
 3. repeated failure -> the per-shard retry budget marks the shard
-   FAILED, and `finalize_run` degrades coverage instead of raising.
+   FAILED: a local run raises `ShardFailed`, a distributed run's
+   `finalize_run` degrades coverage instead.
+
+The serve loop sleeps until a result, a failure or a lost node wakes
+it, or ``DistParams.tick`` passes (lease expiry and the node wait are
+checked then).
 """
 
 from __future__ import annotations
 
+import select
 import socket
 import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ...checking.runner import ScenarioReport
+from ...checking.runner import Scenario, ScenarioReport
 from ..audit import (AuditLog, AuditSampler, audit_shard, divergence_witness,
                      report_fingerprint)
 from ..checkpoint import CheckpointWriter, load_completed_ex, run_fingerprint
 from ..corpus import CorpusEntry
 from ..hedge import HEDGE_ATTEMPT_BASE, DeadlineEstimator
-from ..pool import (EngineParams, EngineResult, ResultCorrupt, _decode_result,
-                    execution_cut, finalize_run, plan_shards_ex)
+from ..pool import (EngineParams, EngineResult, ResultCorrupt, ShardFailed,
+                    _decode_result, execution_cut, finalize_run,
+                    plan_shards_ex)
 from ..registry import ScenarioSpec, build_scenario
 from ..telemetry import ProgressReporter
 from .handshake import handshake_mismatch
-from .lease import ACCEPTED, LeaseTable
+from .lease import ACCEPTED, Lease, LeaseTable
 from .protocol import (MSG_BEAT, MSG_DONE, MSG_FAIL, MSG_GRANT, MSG_HELLO,
                        MSG_IDLE, MSG_REFUSE, MSG_RESULT, MSG_WANT,
                        MSG_WELCOME, PROTOCOL_VERSION, Channel)
@@ -64,36 +74,53 @@ class DistParams:
     #: How long to keep waiting with zero connected nodes before
     #: degrading to a truncated-coverage result.
     node_wait_seconds: float = 30.0
+    #: Longest sleep of the serve loop between wakes; lease expiry and
+    #: the node wait are checked at least this often.
     tick: float = 0.2
+    #: How long an idle node waits before asking again for work.
     idle_wait: float = 0.25
 
 
 class Coordinator:
-    """Serve one scenario's shards to remote nodes and merge the run."""
+    """Lease one scenario's shards to worker nodes and merge the run.
 
-    def __init__(self, params: EngineParams, spec: ScenarioSpec,
+    ``local=True`` is a run whose nodes the caller starts itself and
+    attaches (`attach`) — `repro.engine.pool.run_scenario`: no listener,
+    an ad-hoc ``scenario`` needs no registry ``spec``, a shard past its
+    retry budget raises `ShardFailed`, and at the run deadline the loop
+    waits for the partial results its nodes (which know the deadline)
+    stop with.
+    """
+
+    def __init__(self, params: EngineParams, spec: Optional[ScenarioSpec],
                  dist: Optional[DistParams] = None,
                  listener: Optional[socket.socket] = None,
                  on_event: Optional[Callable[..., None]] = None,
-                 token_floor: int = 0):
-        if spec is None:
+                 token_floor: int = 0,
+                 scenario: Optional[Scenario] = None, local: bool = False):
+        if spec is None and not local:
             raise ValueError("distributed runs need a registry spec: "
                              "nodes rebuild the scenario from its "
                              "to_json() form")
         self.params = params
         self.spec = spec
         self.dist = dist or DistParams()
-        self.scenario = build_scenario(spec)
+        self._local = local
+        self.scenario = scenario if scenario is not None \
+            else build_scenario(spec)
         self.shards, self.planner_gaps = plan_shards_ex(self.scenario,
                                                         params)
         self._fingerprint = run_fingerprint(self.scenario.name, spec,
                                             params.fingerprint_json(),
                                             self.shards)
+        #: Wall-clock end of the run (`EngineParams.run_seconds`).
+        self.deadline = (time.time() + params.run_seconds
+                         if params.run_seconds is not None else None)
         self.table = LeaseTable(len(self.shards),
                                 max_retries=params.max_retries,
                                 lease_seconds=self.dist.lease_seconds,
-                                backoff_base=params.retry_backoff,
-                                token_floor=token_floor)
+                                token_floor=token_floor,
+                                on_retry=self._on_retry)
         # Observability hook for the campaign service: called as
         # ``on_event(kind, **fields)`` with kinds "grant" (a fresh lease
         # is about to go on the wire), "merge" (a result was accepted
@@ -106,8 +133,7 @@ class Coordinator:
         # duplicate dispatched under a fresh fencing token but outside
         # the lease table, so whichever copy submits second fails the
         # exact-(node, token) check and is fenced.
-        self._hedger = (DeadlineEstimator(quantile=params.hedge_quantile,
-                                          factor=params.hedge_factor,
+        self._hedger = (DeadlineEstimator(factor=params.hedge_factor,
                                           floor=params.hedge_floor,
                                           seed=params.seed)
                         if params.hedge else None)
@@ -129,6 +155,9 @@ class Coordinator:
         self._cut_sid: Optional[int] = None
         self._draining = threading.Event()
         self._cancelled = threading.Event()
+        #: Set on every result, failure and node loss: the serve loop's
+        #: cue to look again.
+        self._wake = threading.Event()
         self.results: Dict[int, Tuple[ScenarioReport,
                                       List[CorpusEntry]]] = {}
         self._markers: set = set()
@@ -144,7 +173,7 @@ class Coordinator:
         self._update_cut()
         self.reporter = ProgressReporter(
             total_shards=len(self.shards), enabled=params.progress,
-            label=f"dist:{self.scenario.name}")
+            label=f"{'engine' if local else 'dist'}:{self.scenario.name}")
         self.reporter.on_quarantined(quarantined)
         self.reporter.on_planner_pruned(sum(self.planner_gaps))
         for report, _entries in self.results.values():
@@ -157,67 +186,98 @@ class Coordinator:
         self._nodes: Dict[str, Channel] = {}
         self._stop = threading.Event()
         self._threads: List[threading.Thread] = []
+        self._acceptor: Optional[threading.Thread] = None
+        self._fleet = None
         # The campaign daemon keeps one node port alive across many
         # runs: it injects its own bound listener, which the run must
         # borrow (stop accepting on shutdown) but never close.
         self._owns_listener = listener is None
-        if listener is None:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self.dist.host, self.dist.port))
-            listener.listen()
+        self.host = self.port = None
+        if not local:
+            if listener is None:
+                listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                listener.setsockopt(socket.SOL_SOCKET,
+                                    socket.SO_REUSEADDR, 1)
+                listener.bind((self.dist.host, self.dist.port))
+                listener.listen()
+            self.host, self.port = listener.getsockname()[:2]
+            # Written to on shutdown: wakes the acceptor out of select.
+            self._accept_wake = socket.socketpair()
         self._listener = listener
-        self.host, self.port = self._listener.getsockname()[:2]
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def serve(self) -> EngineResult:
-        """Accept nodes, lease shards until settled, merge, return."""
-        deadline = (time.time() + self.params.run_seconds
-                    if self.params.run_seconds is not None else None)
-        self._acceptor = threading.Thread(target=self._accept_loop,
-                                          name="dist-accept", daemon=True)
-        self._acceptor.start()
+    def serve(self, fleet=None) -> EngineResult:
+        """Lease shards until settled, merge, return.
+
+        ``fleet`` is a local run's node set (`repro.engine.pool`): after
+        every wake the loop hands it the leases that just expired and
+        the nodes just quarantined, so it kills and replaces them and
+        any node that died; `_shutdown` has it kill the rest.
+        """
+        self._fleet = fleet
+        if self._listener is not None:
+            self._acceptor = threading.Thread(target=self._accept_loop,
+                                              name="dist-accept",
+                                              daemon=True)
+            self._acceptor.start()
         last_node_seen = time.time()
         try:
             while True:
-                time.sleep(self.dist.tick)
                 # Audits run on the serve thread, outside the lock: a
                 # re-execution must never stall heartbeat renewals.
-                self._run_audits()
+                quarantined = self._run_audits()
                 if self._cancelled.is_set():
                     break
                 now = time.time()
                 with self._lock:
-                    for lease in self.table.expire(now):
+                    expired = self.table.expire(now)
+                    for lease in expired:
                         self.reporter.on_lease_expired(lease.shard_id,
                                                        lease.node_id)
-                    if self.table.settled and not self._audit_queue:
-                        break
-                    if self._draining.is_set() \
-                            and not self.table.leases \
-                            and not self._audit_queue:
-                        break  # drained: in-flight work is all home
+                    failed = self.table.failed_ids if self._local else []
+                    settled = self.table.settled
+                    busy = bool(self.table.leases or self._audit_queue)
+                    # Drained: the in-flight work is all home.
+                    done = (settled and not self._audit_queue) \
+                        or (self._draining.is_set() and not busy)
                     have_nodes = bool(self._nodes)
+                if failed:
+                    sid = failed[0]
+                    raise ShardFailed(
+                        f"shard {sid} ({self.shards[sid]}) failed "
+                        f"{self.table.attempts(sid)} times: "
+                        f"{self.table.failure_reason(sid)}")
+                if done:
+                    break
+                # Local nodes stop at the deadline by themselves: wait for
+                # the partial results they return.
+                if self.deadline is not None and now >= self.deadline \
+                        and not (self._local and busy):
+                    break
                 if have_nodes:
                     last_node_seen = now
                 elif now - last_node_seen >= self.dist.node_wait_seconds:
                     break  # degrade: merge what came back
-                if deadline is not None and now >= deadline:
-                    break
+                if fleet is not None and not settled:
+                    fleet.tend(expired, quarantined)
+                self._wake.wait(self.dist.tick)
+                self._wake.clear()
         finally:
             self._shutdown()
         # Results accepted on the loop's final tick may still be queued
         # for audit: screen them before the merge is finalized.
         self._run_audits()
         with self._lock:
+            late = self.deadline is not None and time.time() >= self.deadline
             for sid in range(len(self.shards)):
                 if sid in self.results or self._past_cut(sid):
                     continue
-                reason = self.table.failure_reason(sid) \
-                    or "no live node returned this shard"
+                reason = self.table.failure_reason(sid) or (
+                    "run budget exhausted" if late
+                    else "no live node returned this shard")
                 self.reporter.on_skipped(sid, reason)
             self._on_event("settled", settled=self.table.settled,
                            drained=self._draining.is_set(),
@@ -234,6 +294,7 @@ class Coordinator:
         if not self._draining.is_set():
             self._draining.set()
             self.reporter.on_drain()
+        self._wake.set()
 
     @property
     def draining(self) -> bool:
@@ -242,14 +303,24 @@ class Coordinator:
     def cancel(self) -> None:
         """Stop now: abandon in-flight leases and merge what came back."""
         self._cancelled.set()
+        self._wake.set()
 
     def _shutdown(self) -> None:
         self._stop.set()
-        if self._owns_listener:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        if self._acceptor is not None:
+            # A borrowed listener outlives this run: the next run must
+            # not race this one's acceptor for it, so wake the acceptor
+            # and wait it out.
+            self._accept_wake[1].send(b"\0")
+            self._acceptor.join(timeout=2.0)
+        if self._listener is not None:
+            for sock in self._accept_wake:
+                sock.close()
+            if self._owns_listener:
+                try:
+                    self._listener.close()
+                except OSError:
+                    pass
         with self._lock:
             channels = list(self._nodes.values())
         for ch in channels:
@@ -257,21 +328,43 @@ class Coordinator:
                 ch.send(MSG_DONE)
             except ConnectionError:
                 pass
+            # Hang up: the node reads ``done`` then end of stream, and
+            # the channel's serve thread wakes now.
+            try:
+                ch.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        if self._fleet is not None:
+            self._fleet.close()
         for thread in self._threads:
             thread.join(timeout=2.0)
-        # A borrowed listener outlives this run: the next run must not
-        # race this one's acceptor for it, so wait the acceptor out.
-        acceptor = getattr(self, "_acceptor", None)
-        if acceptor is not None:
-            acceptor.join(timeout=2.0)
 
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
 
+    def attach(self, ch: Channel, node_id: str) -> None:
+        """Serve a node this run started itself: no handshake and no
+        welcome — it already holds the scenario and the params."""
+        thread = threading.Thread(target=self._serve_conn,
+                                  args=(ch, node_id), name="dist-conn",
+                                  daemon=True)
+        self._threads.append(thread)
+        thread.start()
+
     def _accept_loop(self) -> None:
         self._listener.settimeout(0.2)
+        wake = self._accept_wake[0]
         while not self._stop.is_set():
+            try:
+                ready, _, _ = select.select([self._listener, wake], [], [],
+                                            1.0)
+            except (OSError, ValueError):
+                return  # the listener was closed under us
+            if self._stop.is_set():
+                return
+            if self._listener not in ready:
+                continue
             try:
                 conn, _addr = self._listener.accept()
             except socket.timeout:
@@ -285,36 +378,44 @@ class Coordinator:
             self._threads.append(thread)
             thread.start()
 
-    def _serve_conn(self, ch: Channel) -> None:
-        node_id = None
+    def _hello(self, ch: Channel) -> Optional[str]:
+        """Read a connecting node's hello; its node id, or None when the
+        hello is malformed or the node is refused."""
+        hello = ch.recv(timeout=5.0)
+        if (hello is None or hello.get("t") != MSG_HELLO
+                or hello.get("proto") != PROTOCOL_VERSION):
+            return None
+        node_id = str(hello["node"])
+        reason = handshake_mismatch(self.params, hello.get("fp"))
+        if reason is None:
+            return node_id
+        # A node built from different code would return well-formed
+        # results that are simply wrong: refuse it with the reason on
+        # the wire, before any grant.
+        with self._lock:
+            self.reporter.on_node_refused(node_id, reason)
+        ch.send(MSG_REFUSE, reason=reason)
+        return None
+
+    def _serve_conn(self, ch: Channel, node_id: Optional[str] = None) -> None:
+        welcome = node_id is None
         try:
-            hello = ch.recv(timeout=5.0)
-            if (hello is None or hello.get("t") != MSG_HELLO
-                    or hello.get("proto") != PROTOCOL_VERSION):
-                return
-            node_id = str(hello["node"])
-            reason = handshake_mismatch(self.params, hello.get("fp"))
-            if reason is not None:
-                # A node built from different code would return well-
-                # formed results that are simply wrong: refuse it with
-                # the reason on the wire, before any grant.
-                with self._lock:
-                    self.reporter.on_node_refused(node_id, reason)
-                ch.send(MSG_REFUSE, reason=reason)
-                node_id = None
-                return
+            if welcome:
+                node_id = self._hello(ch)
+                if node_id is None:
+                    return
             with self._lock:
                 self._nodes[node_id] = ch
                 self.reporter.on_node_joined(node_id)
-            ch.send(MSG_WELCOME, spec=self.spec.to_json(),
-                    params=self.params.wire_json(),
-                    lease=self.dist.lease_seconds,
-                    heartbeat=self.params.heartbeat_interval)
+            if welcome:
+                ch.send(MSG_WELCOME, spec=self.spec.to_json(),
+                        params=self.params.wire_json(),
+                        lease=self.dist.lease_seconds,
+                        heartbeat=self.params.heartbeat_interval)
             while not self._stop.is_set():
                 msg = ch.recv(timeout=0.5)
-                if msg is None:
-                    continue
-                self._dispatch(ch, node_id, msg)
+                if msg is not None and not self._stop.is_set():
+                    self._dispatch(ch, node_id, msg)
             # The run stopped.  `_shutdown` broadcasts ``done`` only to
             # the nodes still registered when it gets there, and this
             # thread is about to unregister the node and close: say
@@ -347,6 +448,7 @@ class Coordinator:
                             self.reporter.on_node_lost(
                                 node_id, f"connection lost "
                                          f"({len(lost)} leases requeued)")
+                self._wake.set()
             ch.close()
 
     def _dispatch(self, ch: Channel, node_id: str, msg: Dict) -> None:
@@ -358,15 +460,19 @@ class Coordinator:
                 with self._lock:
                     self.table.renew(node_id, msg["shard_id"],
                                      msg["token"], time.time())
-        elif mtype == MSG_RESULT:
-            self._on_result(node_id, msg)
-        elif mtype == MSG_FAIL:
-            self._on_fail(node_id, msg)
+        elif mtype in (MSG_RESULT, MSG_FAIL):
+            if mtype == MSG_RESULT:
+                self._on_result(node_id, msg)
+            else:
+                self._on_fail(node_id, msg)
+            self._wake.set()
 
     def _on_want(self, ch: Channel, node_id: str) -> None:
         shadow = None
+        now = time.time()
         with self._lock:
-            if self._draining.is_set() or self._cancelled.is_set():
+            if self._draining.is_set() or self._cancelled.is_set() \
+                    or (self.deadline is not None and now >= self.deadline):
                 # Draining: no fresh grants, only in-flight leases may
                 # finish.  IDLE (not DONE) so the node stays attached
                 # until `_shutdown` dismisses everyone together.
@@ -377,7 +483,6 @@ class Coordinator:
                 # DONE, so the honest fleet finishes the run around it.
                 ch.send(MSG_IDLE, wait=self.dist.idle_wait)
                 return
-            now = time.time()
             # Exclusion must not starve a requeued shard: the table
             # grants a shard back to an excluded node once every live
             # node is excluded from it (spending a retry, so a
@@ -512,11 +617,15 @@ class Coordinator:
         sid, token = msg["shard_id"], msg["token"]
         error = str(msg.get("error", "unknown error"))
         with self._lock:
-            if self.table.fail(sid, token, node_id, time.time(), error):
-                self.reporter.on_retry(sid, self.table.attempts(sid),
-                                       error)
-            else:
+            if not self.table.fail(sid, token, node_id, time.time(), error):
                 self.reporter.on_fenced(sid, node_id)
+
+    def _on_retry(self, lease: Lease, reason: str) -> None:
+        """A lease ended without a result (`LeaseTable` requeue or
+        failure): its attempt is spent.  Caller holds the lock.  Leases
+        released by the shutdown itself are not retries."""
+        if not self._stop.is_set():
+            self.reporter.on_retry(lease.shard_id, lease.attempt, reason)
 
     def _complete(self, sid: int, report: ScenarioReport,
                   entries: List[CorpusEntry], pid: int,
@@ -567,7 +676,7 @@ class Coordinator:
         self._audit_queue[:] = [item for item in self._audit_queue
                                 if not self._past_cut(item[0])]
 
-    def _run_audits(self) -> None:
+    def _run_audits(self) -> List[str]:
         """Re-execute queued sampled shards in this (trusted) process.
 
         Runs on the serve thread with the lock dropped around each
@@ -576,14 +685,16 @@ class Coordinator:
         the origin node: the trusted result replaces its lie in the
         merge (and in the checkpoint — replay is last-record-wins), the
         node is quarantined from further grants, and a replayable
-        witness is registered for the corpus.
+        witness is registered for the corpus.  Returns the nodes
+        quarantined by this call.
         """
+        quarantined: List[str] = []
         if self._audit_log is None:
-            return
+            return quarantined
         while True:
             with self._lock:
                 if not self._audit_queue:
-                    return
+                    return quarantined
                 sid, report, node_id = self._audit_queue.pop(0)
             observed_fp = report_fingerprint(report)
             trusted, finding = audit_shard(
@@ -611,6 +722,7 @@ class Coordinator:
                     self._writer.write_shard(sid, t_report, t_entries)
                 if node_id and node_id not in self._quarantined:
                     self._quarantined.add(node_id)
+                    quarantined.append(node_id)
                     self._audit_log.quarantined.append(node_id)
                     self.reporter.on_worker_quarantined(
                         f"node {node_id}", finding.describe())

@@ -1,6 +1,6 @@
 """Shards as leases: fencing tokens, exclusion, retry/backoff budgets.
 
-A shard handed to a remote node is not *assigned*, it is **leased**: the
+A shard handed to a node is not *assigned*, it is **leased**: the
 grant carries a deadline (renewed by the node's heartbeats) and a
 **fencing token** from a single monotonic counter.  Every state change —
 completion, failure, renewal — must present the token of the shard's
@@ -10,8 +10,8 @@ gets its shard requeued, and then wakes up and submits, presents a
 fenced-off token and is rejected — the shard is never double-counted,
 no matter how the partition or pause interleaves.
 
-Requeue policy mirrors the local pool's retry budget, plus two
-distribution-specific twists:
+Requeue policy is every run's retry budget (local runs lease to their
+own nodes too), plus two twists:
 
 * **exclusion** — the node that failed a shard is remembered and not
   offered it again (a deterministic crasher should land on a different
@@ -25,19 +25,20 @@ distribution-specific twists:
   jittered exponential delay (`repro.engine.retry`), so a fast
   grant/fail loop cannot spin the budget away in milliseconds.
 
-A shard whose attempts exceed ``max_retries + 1`` is marked **failed**
-and surfaces as truncated coverage — graceful degradation, not a crash
-(`repro.engine.budget.Coverage`).  A shard past the run's execution cap
-is **dropped**: never granted again, and not waited for.
+A shard whose attempts exceed ``max_retries + 1`` is marked **failed**:
+a distributed run surfaces it as truncated coverage — graceful
+degradation, not a crash (`repro.engine.budget.Coverage`) — and a local
+run raises `repro.engine.pool.ShardFailed`.  A shard past the run's
+execution cap is **dropped**: never granted again, and not waited for.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
-from ..retry import jittered_backoff
+from ..retry import BACKOFF_BASE, jittered_backoff
 
 PENDING = "pending"
 LEASED = "leased"
@@ -68,8 +69,10 @@ class LeaseTable:
     """Coordinator-side truth about every shard's lease state."""
 
     def __init__(self, n_shards: int, max_retries: int = 2,
-                 lease_seconds: float = 10.0, backoff_base: float = 0.1,
-                 backoff_cap: float = 5.0, token_floor: int = 0):
+                 lease_seconds: float = 10.0,
+                 backoff_base: float = BACKOFF_BASE,
+                 backoff_cap: float = 5.0, token_floor: int = 0,
+                 on_retry: Optional[Callable[[Lease, str], None]] = None):
         self.n_shards = n_shards
         self.max_retries = max_retries
         self.lease_seconds = lease_seconds
@@ -89,6 +92,10 @@ class LeaseTable:
         # node that outlived the crash and submits under a pre-crash
         # lease is fenced STALE instead of colliding with a fresh token.
         self._next_token = token_floor + 1
+        #: Called as ``on_retry(lease, reason)`` for every lease that
+        #: ends without a result — failed, expired, or its node lost:
+        #: the attempt it held is spent.
+        self._on_retry = on_retry
 
     # ------------------------------------------------------------------
     # Queries
@@ -263,6 +270,8 @@ class LeaseTable:
     def _requeue(self, lease: Lease, now: float, reason: str) -> None:
         sid = lease.shard_id
         del self._leases[sid]
+        if self._on_retry is not None:
+            self._on_retry(lease, reason)
         self._excluded[sid].add(lease.node_id)
         if self._attempts[sid] > self.max_retries:
             self._status[sid] = FAILED

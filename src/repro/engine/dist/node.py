@@ -1,40 +1,42 @@
-"""The worker node: the pool's single-shard path behind a socket.
+"""The worker node: one grant loop for remote and local nodes.
 
-A node is deliberately thin — connect, introduce itself, then loop
-``want -> grant -> explore -> result``.  Exploration is literally the
-local pool's `repro.engine.pool._explore_shard`, with two remote-shaped
-differences:
+A node is deliberately thin — loop ``want -> grant -> explore ->
+result``.  Exploration is literally `repro.engine.pool._explore_shard`,
+and the result blob is `repro.engine.pool.encode_result` (CRC'd JSON
+with the in-flight-corruption fault site ``worker.result``), so the
+coordinator's integrity check is one shared code path.  The heartbeat
+duck-type (`NetBeat`) streams beats *upstream* over the channel, each
+naming the ``(shard_id, token)`` lease it renews — that is heartbeat
+federation, and it means a lease the node never learned about is never
+renewed.
 
-* the heartbeat duck-type (`NetBeat`) streams beats *upstream* over the
-  channel instead of to a local file, each naming the
-  ``(shard_id, token)`` lease it renews — that is heartbeat federation,
-  and it means a lease the node never learned about is never renewed;
-* the result blob is the same CRC'd JSON the pool's workers return
-  (including the in-flight-corruption fault site ``worker.result``), so
-  the coordinator's integrity check is one shared code path.
+Two entry points share the loop (`_work`):
+
+* `run_node` — a remote node: connect over TCP, introduce itself
+  (``hello``/``welcome``, which carries the scenario spec and params),
+  work, and on a connection error reconnect with jittered exponential
+  backoff; the coordinator requeues our lease when it notices, and any
+  result we submit from before the drop is fenced off by its stale
+  token — unless the coordinator said ``done`` before the drop: it
+  settled the run without our shard (one past the execution cap), and
+  the node exits;
+* `serve_local` — a node of a local run (`repro.engine.pool._run_pool`)
+  on a socketpair: no handshake, the driver's own scenario, budgets and
+  run deadline, and no reconnect — the driver kills and replaces it.
 
 An exploration error becomes an explicit ``fail`` message (spending a
 retry on the coordinator) rather than a silent drop, so a
-deterministically poisoned shard cannot loop forever.  A connection
-error becomes a reconnect with jittered exponential backoff; the
-coordinator requeues our lease when it notices, and any result we
-submit from before the drop is fenced off by its stale token — unless
-the coordinator said ``done`` before the drop: it settled the run
-without our shard (one past the execution cap), and the node exits.
+deterministically poisoned shard cannot loop forever.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import time
-import zlib
 from typing import Callable, Optional
 
-from ..faults import flip_result_digit, mutate_blob
-from ..merge import report_to_json
-from ..pool import EngineParams, _explore_shard
+from ..pool import EngineParams, _explore_shard, encode_result
 from ..registry import ScenarioSpec, build_scenario
 from ..retry import RetryPolicy
 from ..shard import Shard
@@ -103,9 +105,13 @@ def _serve_grants(ch: Channel, node_id: str, emit: Callable) -> bool:
     if welcome is None or welcome.get("t") != MSG_WELCOME:
         raise ConnectionError("no welcome from coordinator")
     spec = ScenarioSpec.from_json(welcome["spec"])
-    params = EngineParams.from_wire(welcome["params"])
-    heartbeat = float(welcome.get("heartbeat", 0.25))
-    scenario = build_scenario(spec)
+    return _work(ch, node_id, build_scenario(spec), spec,
+                 EngineParams.from_wire(welcome["params"]), emit)
+
+
+def _work(ch: Channel, node_id: str, scenario, spec, params: EngineParams,
+          emit: Callable, deadline: Optional[float] = None) -> bool:
+    """The grant loop: work until ``done`` (True)."""
     while True:
         ch.send(MSG_WANT, node=node_id)
         # A short reply window on purpose: a grant lost in flight is
@@ -128,11 +134,12 @@ def _serve_grants(ch: Channel, node_id: str, emit: Callable) -> bool:
         shard = Shard.from_json(msg["shard"])
         emit(f"[node {node_id}] shard {sid} leased "
              f"(token {token}, attempt {attempt})")
-        beat = NetBeat(ch, node_id, sid, token, heartbeat)
+        beat = NetBeat(ch, node_id, sid, token, params.heartbeat_interval)
         try:
             report, entries = _explore_shard(scenario, spec, shard,
                                              params, shard_id=sid,
-                                             attempt=attempt, beat=beat)
+                                             attempt=attempt,
+                                             deadline=deadline, beat=beat)
         except ConnectionError:
             raise  # a severed beat: reconnect, lease will be requeued
         except Exception as err:  # noqa: BLE001 — spend a retry upstream
@@ -140,23 +147,30 @@ def _serve_grants(ch: Channel, node_id: str, emit: Callable) -> bool:
                     node=node_id, shard_id=sid, token=token,
                     error=repr(err))
             continue
-        payload = {"report": report_to_json(report),
-                   "corpus": [e.to_json() for e in entries]}
-        blob = json.dumps(payload, sort_keys=True)
-        # The lying-executor fault site: the blob is damaged *before*
-        # the CRC is taken, so the frame and the integrity check both
-        # pass — only the audit layer's re-execution can catch it.
-        blob = flip_result_digit("pool.flip_result_byte", blob,
-                                 shard=sid, attempt=attempt)
-        crc = zlib.crc32(blob.encode("utf-8"))
-        # Same in-flight-damage fault site as the local pool's workers:
-        # the CRC is taken first, so injected corruption must be caught
-        # by the coordinator's check, never merged.
-        blob = mutate_blob("worker.result", blob, shard=sid,
-                           attempt=attempt)
+        blob, crc = encode_result(sid, attempt, report, entries)
         ch.send(MSG_RESULT, fault_shard=sid, fault_attempt=attempt,
                 node=node_id, shard_id=sid, token=token, attempt=attempt,
                 blob=blob, blob_crc=crc, pid=os.getpid())
+
+
+def serve_local(sock: socket.socket, node_id: str, scenario,
+                spec: Optional[ScenarioSpec], params: EngineParams,
+                deadline: Optional[float]) -> None:
+    """Run one node of a local run over its end of a socketpair.
+
+    ``scenario`` is None in a spawned node, which rebuilds it from
+    ``spec``.  Returns once the driver says ``done`` or hangs up.
+    """
+    if scenario is None:
+        scenario = build_scenario(spec)
+    ch = Channel(sock)
+    try:
+        _work(ch, node_id, scenario, spec, params, lambda _line: None,
+              deadline)
+    except ConnectionError:
+        pass  # the driver hung up: the run is over
+    finally:
+        ch.close()
 
 
 def run_node(host: str, port: int, node_id: Optional[str] = None,

@@ -1,10 +1,9 @@
 """Jittered exponential backoff, deterministic per (key, attempt).
 
-The local pool (retrying a failed shard), the distributed layer (a node
-reconnecting, a lease being requeued), and the campaign service (a
-client resubmitting against a draining daemon) all need the same thing:
-an exponentially growing delay with jitter so simultaneous retriers do
-not stampede in lockstep.  The jitter is *seeded* — a hash of the
+The lease loop (a failed shard's lease being requeued), a remote node
+reconnecting, and the campaign service (a client resubmitting against a
+draining daemon) all need the same thing: an exponentially growing
+delay with jitter so simultaneous retriers do not stampede in lockstep.  The jitter is *seeded* — a hash of the
 caller's key and the attempt number — so a given retry always waits the
 same amount, which keeps chaos runs and tests deterministic the same way
 `repro.engine.faults` keeps fault firing deterministic.

@@ -25,7 +25,8 @@ class TelemetrySummary:
     executions: int = 0
     steps: int = 0
     retries: int = 0
-    #: Hung workers the watchdog SIGKILLed (their shards were requeued).
+    #: Hung local nodes SIGKILLed when their lease expired (their shards
+    #: were requeued).
     hung_killed: int = 0
     #: Shard results that failed the driver-side CRC check.
     corrupt_results: int = 0
@@ -43,7 +44,7 @@ class TelemetrySummary:
     pruned_subtrees: int = 0
     #: Distributed runs (`repro.engine.dist`): worker nodes that joined.
     nodes_joined: int = 0
-    #: Nodes declared lost (connection gone or heartbeats stopped).
+    #: Nodes declared lost (connection gone mid-run).
     nodes_lost: int = 0
     #: Nodes refused at handshake (engine fingerprint mismatch).
     nodes_refused: int = 0

@@ -42,6 +42,7 @@ from repro.checking import check_scenario
 from repro.core import SpecStyle
 from repro.engine import EngineParams, ScenarioSpec, build_scenario, \
     plan_exhaustive_shards_dpor, run_scenario
+from repro.engine.audit import AUDIT_ATTEMPT_BASE
 from repro.engine.dist import Coordinator, DistParams, run_node
 from repro.engine.faults import Fault, FaultPlan
 
@@ -99,7 +100,7 @@ def pool_run(spec: ScenarioSpec, params: EngineParams, tmp_dir: str):
 
 
 def dist_run(spec: ScenarioSpec, params: EngineParams,
-             max_reconnects: int = 0, tick: float = 0.05,
+             max_reconnects: int = 0,
              stop: Optional[threading.Event] = None):
     """A coordinator and two in-thread worker nodes, as in test_dist.
 
@@ -111,7 +112,7 @@ def dist_run(spec: ScenarioSpec, params: EngineParams,
     """
     coord = Coordinator(params, spec,
                         DistParams(lease_seconds=5.0, node_wait_seconds=20.0,
-                                   tick=tick, idle_wait=0.05))
+                                   tick=0.05, idle_wait=0.05))
     if stop is not None:
         coord._stop = stop
     box: Dict = {}
@@ -293,24 +294,41 @@ class TestAuditAndHedgeUnderCap:
         assert tel.hedge_wins >= 1
         assert tel.audit_divergences == 0
 
+    #: A node overstates shard 0 by one execution (4 -> 5), which would
+    #: put the cut of a cap of 9 in shard 1 instead of shard 2.  Shard
+    #: 0's audit re-executes under attempt `AUDIT_ATTEMPT_BASE`; holding
+    #: it back a second lets shards 0 and 1 land before it ends.
+    LYING_SHARD_0 = FaultPlan((
+        Fault("pool.flip_result_byte", "corrupt", shard=0, attempt=1),
+        Fault("hedge.slow_worker", "delay", shard=0,
+              attempt=AUDIT_ATTEMPT_BASE, delay_seconds=1.0)))
+
+    def check_lie_repaired(self, result, serial) -> None:
+        """The coordinator takes the cut only over audited results, so
+        the repaired merge still equals serial, with nothing
+        truncated."""
+        assert_reports_equal(result.report, serial)
+        assert result.coverage.divergences == 1
+        assert result.coverage.truncated == []
+
     def test_cut_waits_for_the_audit_of_a_lying_node(self):
-        """A node overstates shard 0 by one execution (4 -> 5), which
-        would put the cut of a cap of 9 in shard 1 instead of shard 2.
-        The coordinator takes the cut only over audited results, so the
-        repaired merge still equals serial, with nothing truncated."""
         spec = SCENARIOS["hw-queue/rlx t2xo1"]
         serial = serial_report(spec, 9, self.MODE, "orc11")
         params = engine_params(9, self.MODE, "orc11", target_shards=4,
                                audit_fraction=1.0)
-        plan = FaultPlan((Fault("pool.flip_result_byte", "corrupt",
-                                shard=0, attempt=1),))
-        with plan:
-            # Audits run once per coordinator tick: a slow tick lets
-            # shards 0 and 1 land before shard 0's audit.
-            result, _codes = dist_run(spec, params, tick=1.0)
-        assert_reports_equal(result.report, serial)
-        assert result.coverage.divergences == 1
-        assert result.coverage.truncated == []
+        with self.LYING_SHARD_0:
+            result, _codes = dist_run(spec, params)
+        self.check_lie_repaired(result, serial)
+
+    def test_cut_waits_for_the_audit_of_a_lying_worker(self):
+        """The same lie from one of a 2-worker local run's nodes."""
+        spec = SCENARIOS["hw-queue/rlx t2xo1"]
+        serial = serial_report(spec, 9, self.MODE, "orc11")
+        params = engine_params(9, self.MODE, "orc11", workers=2,
+                               target_shards=4, audit_fraction=1.0)
+        with self.LYING_SHARD_0:
+            result = run_scenario(build_scenario(spec), params, spec=spec)
+        self.check_lie_repaired(result, serial)
 
 
 class TestNodesReleasedAtTheCap:

@@ -542,6 +542,7 @@ class TestDistEquivalence:
         assert not result.coverage.degraded
         assert result.telemetry.leases_expired >= 1
         assert result.telemetry.nodes_lost >= 1
+        assert result.telemetry.retries >= 1
 
     def test_shard_failing_on_every_node_does_not_starve(self):
         """Regression: a shard that failed once on each of two nodes

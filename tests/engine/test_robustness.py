@@ -83,6 +83,30 @@ class TestWorkerCrash:
         serial = check_scenario(base, styles=STYLES, runs=30, seed=4)
         assert_reports_equal(result.report, serial)
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="ad-hoc scenarios reach workers only under fork")
+    def test_failing_workers_raise_and_are_reaped(self):
+        """A shard that fails in every worker process spends its retry
+        budget: the run raises ShardFailed, as a one-worker run does,
+        and leaves no worker process behind."""
+        parent = os.getpid()
+        base = build_scenario(vyukov_spec())
+
+        def factory():
+            if os.getpid() != parent:
+                raise RuntimeError("broken in every worker")
+            return base.factory()
+
+        before = {p.pid for p in multiprocessing.active_children()}
+        scenario = Scenario(base.name, factory, base.extract)
+        params = EngineParams(styles=STYLES, exhaustive=False, runs=20,
+                              seed=4, workers=2, target_shards=4,
+                              max_retries=1)
+        with pytest.raises(ShardFailed):
+            run_scenario(scenario, params)
+        assert {p.pid for p in multiprocessing.active_children()} <= before
+
 
 class TestSpawnOnlyFallback:
     def test_adhoc_scenario_falls_back_to_inline(self, monkeypatch):
