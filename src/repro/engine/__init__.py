@@ -29,7 +29,8 @@ enumeration, so sharded runs merge to byte-for-byte the serial report.
   (``python -m repro crashcheck``);
 * fsck (`repro.engine.fsck`): offline audit + quarantine-and-heal over
   all durable artifact formats (``python -m repro fsck``);
-* telemetry (`repro.engine.telemetry`): executions/sec, ETA, workers;
+* telemetry (`repro.engine.telemetry`): one `Event` stream per run; the
+  summary, the ``--progress`` lines and the service WAL derive from it;
 * registry/catalog: named scenario builders (the picklable face of
   closure-built scenarios).
 
@@ -56,7 +57,7 @@ from .registry import (ScenarioSpec, build_scenario, register_scenario,
 from .shard import (SHARDS_PER_WORKER, Shard, iter_shard,
                     plan_exhaustive_shards, plan_exhaustive_shards_dpor,
                     plan_random_shards)
-from .telemetry import ProgressReporter, TelemetrySummary
+from .telemetry import Event, ProgressReporter, TelemetrySummary
 from .vfs import (DurableWriteError, IoOp, OsVFS, TraceVFS,
                   atomic_write_bytes, atomic_write_text, get_vfs, install)
 
@@ -81,7 +82,7 @@ __all__ = [
     "BudgetSpec", "BudgetTracker", "Coverage", "rss_mb",
     "ScenarioSpec", "register_scenario", "build_scenario",
     "registered_builders",
-    "ProgressReporter", "TelemetrySummary",
+    "Event", "ProgressReporter", "TelemetrySummary",
     "DurableWriteError", "IoOp", "OsVFS", "TraceVFS", "get_vfs",
     "install", "atomic_write_bytes", "atomic_write_text",
 ]

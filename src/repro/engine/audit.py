@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
 from .corpus import CorpusEntry, ReplayOutcome
 from .merge import report_to_json
@@ -255,18 +255,3 @@ def replay_divergence(entry: CorpusEntry,
               + (f" at {entry.divergence_path}"
                  if entry.divergence_path else ""))
     return ReplayOutcome(entry, True, detail, [detail])
-
-
-@dataclass
-class AuditLog:
-    """Driver-side audit bookkeeping of the coordinator's lease loop."""
-
-    sampler: AuditSampler
-    audits_done: int = 0
-    findings: List[DivergenceFinding] = field(default_factory=list)
-    witnesses: List[CorpusEntry] = field(default_factory=list)
-    quarantined: List[str] = field(default_factory=list)
-
-    @property
-    def divergences(self) -> int:
-        return len(self.findings)

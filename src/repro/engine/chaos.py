@@ -51,6 +51,7 @@ import signal
 import tempfile
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -60,6 +61,7 @@ from .corpus import load_corpus
 from .faults import Fault, FaultPlan
 from .pool import EngineParams, EngineResult, run_scenario
 from .registry import ScenarioSpec, build_scenario
+from .telemetry import Event
 
 #: The chaos workload: small (20 executions exhaustively), branchy
 #: enough to split into 4+ shards, and with real style violations so
@@ -100,6 +102,24 @@ class ChaosCase:
     #: matches the baseline except ``exhausted`` is honestly withheld
     #: (an audited divergence taints the fleet, not the merge).
     expect_degraded: bool = False
+
+
+#: How a chaos row names the failure-path events its run went through.
+EVENT_LABELS = {
+    "joined": "nodes joined", "lost": "lost", "expired": "leases expired",
+    "fenced": "results fenced", "retry": "retries",
+    "hung": "hung killed", "corrupt": "corrupt results",
+    "bad_line": "lines quarantined", "hedge_win": "hedge wins",
+    "divergence": "divergences caught",
+    "quarantine": "workers quarantined",
+}
+
+
+def render_events(events: List[Event]) -> str:
+    """A row's detail: how often each labelled event kind occurred."""
+    counts = Counter(event.kind for event in events)
+    return ", ".join(f"{counts[kind]} {label}"
+                     for kind, label in EVENT_LABELS.items() if counts[kind])
 
 
 @dataclass
@@ -211,23 +231,8 @@ def run_case(case: ChaosCase,
             return ChaosOutcome(case, ok=False,
                                 detail=mismatches[0],
                                 mismatches=mismatches)
-        seen = []
-        if tel.retries:
-            seen.append(f"{tel.retries} retries")
-        if tel.hung_killed:
-            seen.append(f"{tel.hung_killed} hung killed")
-        if tel.corrupt_results:
-            seen.append(f"{tel.corrupt_results} corrupt results")
-        if tel.quarantined_lines:
-            seen.append(f"{tel.quarantined_lines} lines quarantined")
-        if tel.hedge_wins:
-            seen.append(f"{tel.hedge_wins} hedge wins")
-        if tel.audit_divergences:
-            seen.append(f"{tel.audit_divergences} divergences caught")
-        if tel.workers_quarantined:
-            seen.append(f"{tel.workers_quarantined} workers quarantined")
         return ChaosOutcome(case, ok=True,
-                            detail=", ".join(seen) or "clean")
+                            detail=render_events(result.events))
     finally:
         if workdir:
             shutil.rmtree(workdir, ignore_errors=True)
@@ -495,16 +500,7 @@ def run_dist_case(case: DistChaosCase,
     if mismatches:
         return ChaosOutcome(case, ok=False, detail=mismatches[0],
                             mismatches=mismatches)
-    seen = [f"{tel.nodes_joined} nodes"]
-    if tel.nodes_lost:
-        seen.append(f"{tel.nodes_lost} lost")
-    if tel.leases_expired:
-        seen.append(f"{tel.leases_expired} leases expired")
-    if tel.results_fenced:
-        seen.append(f"{tel.results_fenced} results fenced")
-    if tel.retries:
-        seen.append(f"{tel.retries} retries")
-    return ChaosOutcome(case, ok=True, detail=", ".join(seen))
+    return ChaosOutcome(case, ok=True, detail=render_events(result.events))
 
 
 # ----------------------------------------------------------------------

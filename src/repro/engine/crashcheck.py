@@ -160,12 +160,13 @@ class CrashcheckReport:
 def record_workload(workdir: str) -> WorkloadFacts:
     """Run the scripted service campaign under a `TraceVFS`.
 
-    The script mirrors the daemon's discipline exactly — WAL record
-    before each action, checkpoint line per completed shard, corpus
-    flush, atomic report, WAL ``done`` — without the TCP layer, so the
-    trace is deterministic and single-threaded.
+    The script mirrors the daemon's discipline exactly — grant and merge
+    events through the daemon's WAL sink before each action, checkpoint
+    line per completed shard, corpus flush, atomic report, WAL ``done``
+    — without the TCP layer, so the trace is deterministic and
+    single-threaded.
     """
-    from ..service.store import JobStore
+    from ..service.store import JobStore, WalSink
 
     params = _params(workdir)
     spec = CRASHCHECK_SPEC
@@ -189,20 +190,24 @@ def record_workload(workdir: str) -> WorkloadFacts:
         fingerprint = run_fingerprint(scenario.name, spec,
                                       params.fingerprint_json(), shards)
         writer = CheckpointWriter(params.checkpoint_path, fingerprint)
-        reporter = ProgressReporter(total_shards=len(shards),
-                                    enabled=False)
+        reporter = ProgressReporter(enabled=False,
+                                    sink=WalSink(store, job.job_id))
+        reporter.emit("planned", shards=len(shards),
+                      pruned=sum(planner_gaps))
         results = {}
-        token = 0
         for sid, shard in enumerate(shards):
-            token += 1
-            store.record_grant(job.job_id, sid, token, 1, "local-0")
+            token = sid + 1
+            reporter.emit("grant", shard=sid, attempt=1, node="local-0",
+                          token=token)
             report, entries = _explore_shard(scenario, spec, shard,
                                              params, shard_id=sid)
-            store.record_merge(job.job_id, sid, token, report.executions)
+            reporter.emit("merge", shard=sid, node="local-0", token=token,
+                          pid=0, executions=report.executions,
+                          steps=report.steps,
+                          pruned=report.pruned_subtrees,
+                          budget_exhausted=report.budget_exhausted)
             results[sid] = (report, entries)
             writer.write_shard(sid, report, entries)
-            reporter.on_shard_done(sid, 0, report.executions,
-                                   report.steps, report.pruned_subtrees)
         result = finalize_run(scenario, spec, params, shards,
                               planner_gaps, results, set(), reporter,
                               writer)

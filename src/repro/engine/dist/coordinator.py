@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ...checking.runner import Scenario, ScenarioReport
-from ..audit import (AuditLog, AuditSampler, audit_shard, divergence_witness,
+from ..audit import (AuditSampler, audit_shard, divergence_witness,
                      report_fingerprint)
 from ..checkpoint import CheckpointWriter, load_completed_ex, run_fingerprint
 from ..corpus import CorpusEntry
@@ -56,9 +56,9 @@ from ..pool import (EngineParams, EngineResult, ResultCorrupt, ShardFailed,
                     _decode_result, execution_cut, finalize_run,
                     plan_shards_ex)
 from ..registry import ScenarioSpec, build_scenario
-from ..telemetry import ProgressReporter
+from ..telemetry import Event, ProgressReporter
 from .handshake import handshake_mismatch
-from .lease import ACCEPTED, Lease, LeaseTable
+from .lease import ACCEPTED, DROPPED, Lease, LeaseTable
 from .protocol import (MSG_BEAT, MSG_DONE, MSG_FAIL, MSG_GRANT, MSG_HELLO,
                        MSG_IDLE, MSG_REFUSE, MSG_RESULT, MSG_WANT,
                        MSG_WELCOME, PROTOCOL_VERSION, Channel)
@@ -90,12 +90,16 @@ class Coordinator:
     retry budget raises `ShardFailed`, and at the run deadline the loop
     waits for the partial results its nodes (which know the deadline)
     stop with.
+
+    Everything the run does is an event on ``reporter``; ``sink`` (the
+    campaign service's WAL, `repro.service.store.WalSink`) sees each
+    one before the action it describes.
     """
 
     def __init__(self, params: EngineParams, spec: Optional[ScenarioSpec],
                  dist: Optional[DistParams] = None,
                  listener: Optional[socket.socket] = None,
-                 on_event: Optional[Callable[..., None]] = None,
+                 sink: Optional[Callable[[Event], None]] = None,
                  token_floor: int = 0,
                  scenario: Optional[Scenario] = None, local: bool = False):
         if spec is None and not local:
@@ -113,6 +117,11 @@ class Coordinator:
         self._fingerprint = run_fingerprint(self.scenario.name, spec,
                                             params.fingerprint_json(),
                                             self.shards)
+        self.reporter = ProgressReporter(
+            enabled=params.progress, sink=sink,
+            label=f"{'engine' if local else 'dist'}:{self.scenario.name}")
+        self.reporter.emit("planned", shards=len(self.shards),
+                           pruned=sum(self.planner_gaps))
         #: Wall-clock end of the run (`EngineParams.run_seconds`).
         self.deadline = (time.time() + params.run_seconds
                          if params.run_seconds is not None else None)
@@ -121,12 +130,6 @@ class Coordinator:
                                 lease_seconds=self.dist.lease_seconds,
                                 token_floor=token_floor,
                                 on_retry=self._on_retry)
-        # Observability hook for the campaign service: called as
-        # ``on_event(kind, **fields)`` with kinds "grant" (a fresh lease
-        # is about to go on the wire), "merge" (a result was accepted
-        # and merged), and "settled" (about to finalize) — so a WAL can
-        # record the transition *before* the action it describes.
-        self._on_event = on_event or (lambda kind, **fields: None)
         self._grant_seen: set = set()
         # Hedging (`repro.engine.hedge`): per-grant dispatch times feed
         # the deadline estimator; stragglers get a *shadow grant* — a
@@ -143,9 +146,10 @@ class Coordinator:
         # Audit (`repro.engine.audit`): sampled shards are re-executed
         # in this (trusted) process; a node whose result diverges is
         # quarantined — no further grants, its leases requeued.
-        self._audit_log = (AuditLog(AuditSampler(params.audit_fraction,
-                                                 params.seed))
-                           if params.audit_fraction > 0 else None)
+        self._sampler = (AuditSampler(params.audit_fraction, params.seed)
+                         if params.audit_fraction > 0 else None)
+        #: Replayable corpus entries of the run's audit convictions.
+        self._witnesses: List[CorpusEntry] = []
         self._audit_queue: List[Tuple[int, ScenarioReport, str]] = []
         #: Shards whose audit is queued or running: their results may
         #: still be replaced, so the execution cap is not taken over them.
@@ -161,24 +165,19 @@ class Coordinator:
         self.results: Dict[int, Tuple[ScenarioReport,
                                       List[CorpusEntry]]] = {}
         self._markers: set = set()
-        quarantined = 0
         if params.checkpoint_path:
             done, self._markers, diag = load_completed_ex(
                 params.checkpoint_path, self._fingerprint)
-            quarantined = diag.corrupt
+            for _ in range(diag.corrupt):
+                self.reporter.emit("bad_line")
             for sid, (report, entries) in done.items():
                 if 0 <= sid < len(self.shards):
                     self.results[sid] = (report, entries)
                     self.table.mark_done(sid)
+                    self.reporter.emit(
+                        "resumed", shard=sid, executions=report.executions,
+                        steps=report.steps, pruned=report.pruned_subtrees)
         self._update_cut()
-        self.reporter = ProgressReporter(
-            total_shards=len(self.shards), enabled=params.progress,
-            label=f"{'engine' if local else 'dist'}:{self.scenario.name}")
-        self.reporter.on_quarantined(quarantined)
-        self.reporter.on_planner_pruned(sum(self.planner_gaps))
-        for report, _entries in self.results.values():
-            self.reporter.on_resumed(report.executions, report.steps,
-                                     report.pruned_subtrees)
         self._writer = (CheckpointWriter(params.checkpoint_path,
                                          self._fingerprint)
                         if params.checkpoint_path else None)
@@ -235,8 +234,8 @@ class Coordinator:
                 with self._lock:
                     expired = self.table.expire(now)
                     for lease in expired:
-                        self.reporter.on_lease_expired(lease.shard_id,
-                                                       lease.node_id)
+                        self.reporter.emit("expired", shard=lease.shard_id,
+                                           node=lease.node_id)
                     failed = self.table.failed_ids if self._local else []
                     settled = self.table.settled
                     busy = bool(self.table.leases or self._audit_queue)
@@ -273,27 +272,27 @@ class Coordinator:
         with self._lock:
             late = self.deadline is not None and time.time() >= self.deadline
             for sid in range(len(self.shards)):
-                if sid in self.results or self._past_cut(sid):
+                if sid in self.results or self.table.status(sid) == DROPPED:
                     continue
                 reason = self.table.failure_reason(sid) or (
                     "run budget exhausted" if late
                     else "no live node returned this shard")
-                self.reporter.on_skipped(sid, reason)
-            self._on_event("settled", settled=self.table.settled,
-                           drained=self._draining.is_set(),
-                           cancelled=self._cancelled.is_set())
+                self.reporter.emit("skipped", shard=sid, reason=reason)
+            self.reporter.emit("settled", settled=self.table.settled,
+                               drained=self._draining.is_set(),
+                               cancelled=self._cancelled.is_set())
             return finalize_run(self.scenario, self.spec, self.params,
                                 self.shards, self.planner_gaps,
                                 self.results, self._markers,
                                 self.reporter, self._writer,
-                                audit_log=self._audit_log)
+                                witnesses=self._witnesses)
 
     def drain(self) -> None:
         """Stop granting new leases; `serve` returns once every
         in-flight lease has completed, failed, or expired."""
         if not self._draining.is_set():
             self._draining.set()
-            self.reporter.on_drain()
+            self.reporter.emit("drain")
         self._wake.set()
 
     @property
@@ -393,7 +392,7 @@ class Coordinator:
         # results that are simply wrong: refuse it with the reason on
         # the wire, before any grant.
         with self._lock:
-            self.reporter.on_node_refused(node_id, reason)
+            self.reporter.emit("refused", node=node_id, reason=reason)
         ch.send(MSG_REFUSE, reason=reason)
         return None
 
@@ -406,7 +405,7 @@ class Coordinator:
                     return
             with self._lock:
                 self._nodes[node_id] = ch
-                self.reporter.on_node_joined(node_id)
+                self.reporter.emit("joined", node=node_id)
             if welcome:
                 ch.send(MSG_WELCOME, spec=self.spec.to_json(),
                         params=self.params.wire_json(),
@@ -445,9 +444,10 @@ class Coordinator:
                         # losses mid-run.
                         if not self._stop.is_set() \
                                 and not self.table.settled:
-                            self.reporter.on_node_lost(
-                                node_id, f"connection lost "
-                                         f"({len(lost)} leases requeued)")
+                            self.reporter.emit(
+                                "lost", node=node_id,
+                                reason=f"connection lost "
+                                       f"({len(lost)} leases requeued)")
                 self._wake.set()
             ch.close()
 
@@ -497,9 +497,9 @@ class Coordinator:
                 # on the wire (grant replies are idempotent per node,
                 # so a re-sent lease must not double-log).
                 self._grant_seen.add((lease.shard_id, lease.token))
-                self._on_event("grant", shard=lease.shard_id,
-                               token=lease.token, attempt=lease.attempt,
-                               node=node_id)
+                self.reporter.emit("grant", shard=lease.shard_id,
+                                   attempt=lease.attempt, node=node_id,
+                                   token=lease.token)
                 self._lease_started[(lease.shard_id, lease.token)] = now
             if lease is None and not settled:
                 # An idle node with stragglers in flight is exactly the
@@ -549,11 +549,12 @@ class Coordinator:
         hedge_attempt = HEDGE_ATTEMPT_BASE + attempt
         self._shadow[sid] = (token, node_id)
         self._lease_started[(sid, token)] = now
-        # Shadow tokens go through the same WAL channel as leases: a
-        # restarted coordinator's token floor must clear them too.
-        self._on_event("grant", shard=sid, token=token,
-                       attempt=hedge_attempt, node=node_id)
-        self.reporter.on_hedge(sid, elapsed, deadline)
+        # Shadow grants reach the service WAL like leases: a restarted
+        # coordinator's token floor must clear their tokens too.
+        self.reporter.emit("grant", shard=sid, attempt=hedge_attempt,
+                           node=node_id, token=token)
+        self.reporter.emit("hedge", shard=sid, elapsed=elapsed,
+                           deadline=deadline)
         return (sid, token, hedge_attempt)
 
     def _on_result(self, node_id: str, msg: Dict) -> None:
@@ -565,7 +566,7 @@ class Coordinator:
                                              msg["blob_crc"])
         except ResultCorrupt:
             with self._lock:
-                self.reporter.on_corrupt_result(sid)
+                self.reporter.emit("corrupt", shard=sid, node=node_id)
                 shadow = self._shadow.get(sid)
                 if shadow is not None and shadow[0] == token:
                     # A corrupt duplicate just retires the hedge; the
@@ -584,15 +585,15 @@ class Coordinator:
                 if sid in self.results:
                     # The primary beat its duplicate home; the hedge's
                     # price is known once the loser lands.
-                    self.reporter.summary.hedge_wasted_execs += \
-                        report.executions
+                    self.reporter.emit("wasted", shard=sid,
+                                       executions=report.executions)
                     return
                 # The duplicate wins: popping the primary lease is what
                 # fences the straggler — its later submission matches no
                 # current lease and is rejected STALE below.
                 self.table.mark_done(sid)
                 self._hedge_won.add(sid)
-                self.reporter.on_hedge_win(sid)
+                self.reporter.emit("hedge_win", shard=sid)
                 self._complete(sid, report, entries,
                                int(msg.get("pid", 0)), token, node_id)
                 return
@@ -600,16 +601,16 @@ class Coordinator:
             if verdict != ACCEPTED:
                 # A resurrected node's stale submission — or the fenced
                 # straggler of a won hedge: either way, counted once.
-                self.reporter.on_fenced(sid, node_id)
+                self.reporter.emit("fenced", shard=sid, node=node_id)
                 if sid in self._hedge_won:
                     self._hedge_won.discard(sid)
-                    self.reporter.summary.hedge_wasted_execs += \
-                        report.executions
+                    self.reporter.emit("wasted", shard=sid,
+                                       executions=report.executions)
                 return
             if sid in self._shadow:
                 # The original dispatch won after all; the duplicate in
                 # flight is a loser (its execs are charged on landing).
-                self.reporter.on_hedge_loss(sid)
+                self.reporter.emit("hedge_loss", shard=sid)
             self._complete(sid, report, entries, int(msg.get("pid", 0)),
                            token, node_id)
 
@@ -618,7 +619,7 @@ class Coordinator:
         error = str(msg.get("error", "unknown error"))
         with self._lock:
             if not self.table.fail(sid, token, node_id, time.time(), error):
-                self.reporter.on_fenced(sid, node_id)
+                self.reporter.emit("fenced", shard=sid, node=node_id)
 
     def _on_retry(self, lease: Lease, reason: str) -> None:
         """A lease ended without a result (`LeaseTable` requeue or
@@ -630,22 +631,21 @@ class Coordinator:
     def _complete(self, sid: int, report: ScenarioReport,
                   entries: List[CorpusEntry], pid: int,
                   token: int = 0, node_id: str = "") -> None:
-        self._on_event("merge", shard=sid, token=token,
-                       executions=report.executions)
+        self.reporter.emit("merge", shard=sid, node=node_id, token=token,
+                           pid=pid, executions=report.executions,
+                           steps=report.steps,
+                           pruned=report.pruned_subtrees,
+                           budget_exhausted=report.budget_exhausted)
         self.results[sid] = (report, entries)
         started = self._lease_started.pop((sid, token), None)
         if self._hedger is not None and started is not None:
             self._hedger.observe(time.time() - started)
-        if report.budget_exhausted:
-            # Not checkpointed: a later, better-funded resume should
-            # re-explore a truncated shard rather than trust its stub.
-            self.reporter.on_budget_stop(sid)
-        elif self._writer is not None:
+        # A budget-truncated shard is not checkpointed: a later,
+        # better-funded resume should re-explore it rather than trust
+        # its stub.
+        if self._writer is not None and not report.budget_exhausted:
             self._writer.write_shard(sid, report, entries)
-        self.reporter.on_shard_done(sid, pid, report.executions,
-                                    report.steps, report.pruned_subtrees)
-        if self._audit_log is not None \
-                and self._audit_log.sampler.should_audit(sid):
+        if self._sampler is not None and self._sampler.should_audit(sid):
             self._audit_queue.append((sid, report, node_id))
             self._auditing.add(sid)
         self._update_cut()
@@ -670,7 +670,8 @@ class Coordinator:
         if cut is None:
             return
         self._cut_sid = cut[0]
-        self.table.drop_after(self._cut_sid)
+        self.reporter.emit("cut", shard=self._cut_sid,
+                           dropped=self.table.drop_after(self._cut_sid))
         for sid in [sid for sid in self._shadow if self._past_cut(sid)]:
             del self._shadow[sid]
         self._audit_queue[:] = [item for item in self._audit_queue
@@ -689,7 +690,7 @@ class Coordinator:
         quarantined by this call.
         """
         quarantined: List[str] = []
-        if self._audit_log is None:
+        if self._sampler is None:
             return quarantined
         while True:
             with self._lock:
@@ -702,17 +703,16 @@ class Coordinator:
                 sid, report, observed_fp,
                 worker=f"node {node_id or '?'}")
             with self._lock:
-                self._audit_log.audits_done += 1
                 self._auditing.discard(sid)
-                self.reporter.on_audit(sid, finding is not None)
+                self.reporter.emit("audit", shard=sid, node=node_id,
+                                   diverged=finding is not None)
                 if finding is None:
                     self._update_cut()
                     continue
-                self._audit_log.findings.append(finding)
-                self._audit_log.witnesses.append(
+                self._witnesses.append(
                     divergence_witness(finding, self.spec, self.params))
-                self._on_event("divergence", shard=sid, node=node_id,
-                               finding=finding.to_json())
+                self.reporter.emit("divergence", shard=sid, node=node_id,
+                                   finding=finding.to_json())
                 t_report, t_entries = trusted
                 self.results[sid] = (t_report, t_entries)
                 if self._writer is not None \
@@ -723,13 +723,12 @@ class Coordinator:
                 if node_id and node_id not in self._quarantined:
                     self._quarantined.add(node_id)
                     quarantined.append(node_id)
-                    self._audit_log.quarantined.append(node_id)
-                    self.reporter.on_worker_quarantined(
-                        f"node {node_id}", finding.describe())
+                    self.reporter.emit("quarantine", node=node_id,
+                                       reason=finding.describe())
                     for lease in self.table.release_node(node_id,
                                                          time.time()):
-                        self.reporter.on_lease_expired(lease.shard_id,
-                                                       node_id)
+                        self.reporter.emit("expired", shard=lease.shard_id,
+                                           node=node_id)
                 self._update_cut()
 
 

@@ -141,15 +141,19 @@ class LeaseTable:
         self._status[shard_id] = DONE
         self._leases.pop(shard_id, None)
 
-    def drop_after(self, shard_id: int) -> None:
-        """Drop every unfinished shard after ``shard_id``: the run's
-        execution cap falls at or before it, so no later shard can
-        contribute to the merge.  Popping their leases fences any late
-        result, and a dropped shard is never granted again."""
+    def drop_after(self, shard_id: int) -> int:
+        """Drop every unfinished shard after ``shard_id``; returns how
+        many.  The run's execution cap falls at or before it, so no
+        later shard can contribute to the merge.  Popping their leases
+        fences any late result, and a dropped shard is never granted
+        again."""
+        dropped = 0
         for sid in range(shard_id + 1, self.n_shards):
             if self._status[sid] in (PENDING, LEASED):
                 self._status[sid] = DROPPED
                 self._leases.pop(sid, None)
+                dropped += 1
+        return dropped
 
     def issue_token(self) -> int:
         """Draw a fresh fencing token without creating a lease.

@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..checking.runner import (Scenario, ScenarioReport, StyleTally,
                                record_result)
 from ..core.spec_styles import SpecStyle
-from .audit import AUDIT_ATTEMPT_BASE, AuditLog
+from .audit import AUDIT_ATTEMPT_BASE
 from .budget import BudgetSpec, BudgetTracker, Coverage
 from .checkpoint import CheckpointWriter
 from .corpus import (CORPUS_CAP, CorpusEntry, CorpusSink, append_entries,
@@ -64,7 +64,7 @@ from ..rmc.dpor import DporStats
 from .shard import (SHARDS_PER_WORKER, Shard, iter_shard,
                     plan_exhaustive_shards, plan_exhaustive_shards_dpor,
                     plan_random_shards)
-from .telemetry import ProgressReporter, TelemetrySummary
+from .telemetry import Event, ProgressReporter, TelemetrySummary
 
 #: Seconds a local node may hold a lease without a beat before it is
 #: declared hung, SIGKILLed and replaced.  A real default, so a lone
@@ -203,10 +203,14 @@ class EngineResult:
     """A merged report plus the run's mechanics."""
 
     report: ScenarioReport
+    #: The fold of ``events`` (`TelemetrySummary.fold`).
     telemetry: TelemetrySummary
     shards: List[Shard] = field(default_factory=list)
     corpus_entries: List[CorpusEntry] = field(default_factory=list)
     coverage: Optional[Coverage] = None
+    #: Everything that happened to the run, in order
+    #: (`repro.engine.telemetry.Event`).
+    events: List[Event] = field(default_factory=list)
 
 
 class ShardFailed(RuntimeError):
@@ -379,7 +383,7 @@ def finalize_run(scenario: Scenario, spec: Optional[ScenarioSpec],
                                           List[CorpusEntry]]],
                  markers: set, reporter: ProgressReporter,
                  writer: Optional[CheckpointWriter],
-                 audit_log: Optional[AuditLog] = None) -> EngineResult:
+                 witnesses: Sequence[CorpusEntry] = ()) -> EngineResult:
     """Merge per-shard results into one honest `EngineResult`.
 
     The shared tail of the coordinator (`repro.engine.dist.coordinator`,
@@ -387,7 +391,7 @@ def finalize_run(scenario: Scenario, spec: Optional[ScenarioSpec],
     crash-consistency harness: apply the run-wide execution cap, fold
     the partial reports in shard order, charge planner prunes exactly
     once, account coverage for anything truncated or missing, and flush
-    the deduplicated corpus.
+    the deduplicated corpus plus the audit's divergence ``witnesses``.
 
     The cap (`execution_cut`) keeps the leading shards up to the one
     holding the cap's last execution and drops every later shard — they
@@ -434,14 +438,13 @@ def finalize_run(scenario: Scenario, spec: Optional[ScenarioSpec],
                 seen_hashes.add(key)
                 entries.append(entry)
     del entries[params.corpus_cap:]
-    if audit_log is not None:
-        # Divergence witnesses ride above the per-run cap: there are at
-        # most a handful and each one names a provably-lying executor.
-        for witness in audit_log.witnesses:
-            key = entry_hash(witness.to_json())
-            if key not in seen_hashes:
-                seen_hashes.add(key)
-                entries.append(witness)
+    # Divergence witnesses ride above the per-run cap: there are at most
+    # a handful and each one names a provably-lying executor.
+    for witness in witnesses:
+        key = entry_hash(witness.to_json())
+        if key not in seen_hashes:
+            seen_hashes.add(key)
+            entries.append(witness)
     flush_errors: List[str] = []
     if params.corpus_path:
         # Content-hash dedupe makes the flush idempotent, so a crash
@@ -455,7 +458,7 @@ def finalize_run(scenario: Scenario, spec: Optional[ScenarioSpec],
     durable_errors: List[str] = flush_errors + \
         (list(writer.write_errors) if writer is not None else [])
     for detail in durable_errors:
-        reporter.on_durable_error(detail)
+        reporter.emit("durable_error", detail=detail)
     telemetry = reporter.finish()
     complete_sids = {sid for sid in needed if sid in results
                      and not results[sid][0].budget_exhausted}
@@ -465,14 +468,15 @@ def finalize_run(scenario: Scenario, spec: Optional[ScenarioSpec],
         truncated=[shards[sid].describe() for sid in needed
                    if sid not in complete_sids],
         durable_errors=len(durable_errors),
-        divergences=audit_log.divergences if audit_log else 0)
+        divergences=telemetry.audit_divergences)
     report.coverage = coverage
     if coverage.degraded:
         # A degraded run must never claim a universal result — whether
         # work was truncated or its durable record failed to land.
         report.exhausted = False
     return EngineResult(report=report, telemetry=telemetry, shards=shards,
-                        corpus_entries=entries, coverage=coverage)
+                        corpus_entries=entries, coverage=coverage,
+                        events=reporter.events)
 
 
 # ----------------------------------------------------------------------
@@ -543,9 +547,10 @@ class _LocalNodes:
             node = self.nodes.get(lease.node_id)
             if node is not None:
                 doomed.add(lease.node_id)
-                coord.reporter.on_hung_worker(
-                    getattr(node, "pid", os.getpid()), lease.shard_id,
-                    coord.table.lease_seconds)
+                coord.reporter.emit(
+                    "hung", shard=lease.shard_id, node=lease.node_id,
+                    pid=getattr(node, "pid", os.getpid()),
+                    age=coord.table.lease_seconds)
         for node_id, node in list(self.nodes.items()):
             if node_id in doomed:
                 if not isinstance(node, threading.Thread):

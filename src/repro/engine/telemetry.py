@@ -1,23 +1,75 @@
-"""Run telemetry: executions/sec, ETA, and per-worker counters.
+"""Run telemetry: one event stream per engine run, and its fold.
 
-The reporter is driven by the engine's completion loop (one call per
-finished shard) and prints throttled progress lines to stderr — the
-``--progress`` flag on the CLI.  The same counters reach callers as a
-`TelemetrySummary` (the engine overhead benches in
-``benchmarks/bench_micro.py`` read their wall times from it).
+Every reporting site calls `ProgressReporter.emit`, which records an
+`Event` (the vocabulary is tabled in ``docs/engine.md``), folds it into
+the run's `TelemetrySummary` — `TelemetrySummary.apply` is the only code
+that moves a counter — hands it to the run's sink (the campaign
+service's WAL, `repro.service.store.WalSink`), and under ``--progress``
+prints it to stderr beside a throttled status line with executions/sec
+and ETA.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Optional, TextIO
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, Iterable, List, Optional
+
+#: Seconds between two status lines under ``--progress``.
+STATUS_INTERVAL = 0.5
+
+#: Event kinds that add one to a summary counter.
+COUNTERS = {
+    "retry": "retries",
+    "hung": "hung_killed",
+    "corrupt": "corrupt_results",
+    "skipped": "shards_skipped",
+    "bad_line": "quarantined_lines",
+    "durable_error": "durable_write_errors",
+    "joined": "nodes_joined",
+    "lost": "nodes_lost",
+    "refused": "nodes_refused",
+    "expired": "leases_expired",
+    "fenced": "results_fenced",
+    "hedge": "hedges_issued",
+    "hedge_win": "hedge_wins",
+    "hedge_loss": "hedge_losses",
+    "audit": "audits_done",
+    "divergence": "audit_divergences",
+    "quarantine": "workers_quarantined",
+}
+
+#: Event kinds printed under ``--progress`` as they happen.
+PRINTED = frozenset({
+    "retry", "hung", "corrupt", "skipped", "durable_error", "joined",
+    "lost", "refused", "expired", "fenced", "hedge", "hedge_win",
+    "divergence", "quarantine", "drain"})
+
+
+@dataclass
+class Event:
+    """One thing that happened to an engine run: ``ts`` is monotonic
+    seconds since the run started, ``fields`` the kind's JSON payload."""
+
+    kind: str
+    ts: float
+    shard: Optional[int] = None
+    attempt: Optional[int] = None
+    node: Optional[str] = None
+    fields: Dict[str, Any] = field(default_factory=dict)
+
+    def to_json(self) -> Dict[str, Any]:
+        return asdict(self)
+
+    @staticmethod
+    def from_json(data: Dict[str, Any]) -> "Event":
+        return Event(**data)
 
 
 @dataclass
 class TelemetrySummary:
-    """Final counters of one engine run."""
+    """Final counters of one engine run: the fold of its events."""
 
     shards_total: int = 0
     shards_done: int = 0
@@ -32,6 +84,9 @@ class TelemetrySummary:
     corrupt_results: int = 0
     #: Shards never started because a run budget ran out.
     shards_skipped: int = 0
+    #: Shards dropped unexplored at the run-wide execution cap: the
+    #: serial run never reaches them either.
+    shards_dropped: int = 0
     #: Shards that stopped early on a per-shard budget breach.
     budget_stops: int = 0
     #: Corrupt checkpoint/corpus lines quarantined on load.
@@ -90,186 +145,116 @@ class TelemetrySummary:
         explored frontier: actual executions plus DPOR-pruned branches."""
         return self.executions + self.pruned_subtrees
 
+    @classmethod
+    def fold(cls, events: Iterable[Event]) -> "TelemetrySummary":
+        """The summary a run with these events ends with."""
+        summary = cls()
+        for event in events:
+            summary.apply(event)
+        return summary
+
+    def apply(self, event: Event) -> None:
+        """The fold's step: move the counters one event moves."""
+        kind, f = event.kind, event.fields
+        counter = COUNTERS.get(kind)
+        if counter is not None:
+            setattr(self, counter, getattr(self, counter) + 1)
+        elif kind == "planned":
+            self.shards_total += f["shards"]
+            self.pruned_subtrees += f["pruned"]
+        elif kind in ("resumed", "merge"):
+            pid = f.get("pid", 0)
+            self.shards_done += 1
+            self.shards_resumed += kind == "resumed"
+            self.budget_stops += bool(f.get("budget_exhausted"))
+            self.executions += f["executions"]
+            self.steps += f["steps"]
+            self.pruned_subtrees += f["pruned"]
+            self.worker_shards[pid] = self.worker_shards.get(pid, 0) + 1
+            self.worker_executions[pid] = \
+                self.worker_executions.get(pid, 0) + f["executions"]
+        elif kind == "wasted":
+            self.hedge_wasted_execs += f["executions"]
+        elif kind == "cut":
+            self.shards_dropped += f["dropped"]
+        elif kind == "drain":
+            self.drained = True
+        elif kind == "finished":
+            self.wall_seconds = event.ts
+
 
 class ProgressReporter:
-    """Throttled progress lines over a running `TelemetrySummary`."""
+    """The event log of one engine run.
 
-    def __init__(self, total_shards: int, enabled: bool = True,
-                 out: Optional[TextIO] = None, interval: float = 0.5,
-                 label: str = "engine"):
-        self.summary = TelemetrySummary(shards_total=total_shards)
+    ``emit`` takes no lock: the campaign daemon's SIGTERM handler emits
+    ``drain`` on the serve thread, which may already hold any lock the
+    run takes.  Concurrent emitters move disjoint counters (the rest
+    emit under the coordinator's lock), and the fold commutes.
+    """
+
+    def __init__(self, enabled: bool = True, label: str = "engine",
+                 sink: Optional[Callable[[Event], None]] = None):
+        self.summary = TelemetrySummary()
+        self.events: List[Event] = []
         self.enabled = enabled
-        self.out = out if out is not None else sys.stderr
-        self.interval = interval
         self.label = label
+        self.sink = sink
         self._start = time.perf_counter()
-        self._last_emit = 0.0
+        self._last_status = 0.0
 
-    def on_resumed(self, executions: int, steps: int,
-                   pruned: int = 0) -> None:
-        s = self.summary
-        s.shards_done += 1
-        s.shards_resumed += 1
-        s.executions += executions
-        s.steps += steps
-        s.pruned_subtrees += pruned
-        s.worker_shards[0] = s.worker_shards.get(0, 0) + 1
-        s.worker_executions[0] = s.worker_executions.get(0, 0) + executions
-
-    def on_shard_done(self, shard_id: int, pid: int, executions: int,
-                      steps: int, pruned: int = 0) -> None:
-        s = self.summary
-        s.shards_done += 1
-        s.executions += executions
-        s.steps += steps
-        s.pruned_subtrees += pruned
-        s.worker_shards[pid] = s.worker_shards.get(pid, 0) + 1
-        s.worker_executions[pid] = \
-            s.worker_executions.get(pid, 0) + executions
-        self._emit()
-
-    def on_planner_pruned(self, count: int) -> None:
-        """Branches the DPOR-aware planner pruned at pinned prefix nodes."""
-        self.summary.pruned_subtrees += count
+    def emit(self, kind: str, shard: Optional[int] = None,
+             attempt: Optional[int] = None, node: Optional[str] = None,
+             **fields: Any) -> None:
+        """Record one event.  The sink sees it first, so a WAL record
+        lands before the action the event describes."""
+        event = Event(kind, time.perf_counter() - self._start, shard,
+                      attempt, node, fields)
+        if self.sink is not None:
+            self.sink(event)
+        self.events.append(event)
+        self.summary.apply(event)
+        if self.enabled:
+            if kind in PRINTED:
+                print(self._line(event), file=sys.stderr, flush=True)
+            elif kind in ("merge", "finished"):
+                self._status(final=kind == "finished")
 
     def on_retry(self, shard_id: int, attempt: int, error: str) -> None:
-        self.summary.retries += 1
-        if self.enabled:
-            print(f"[{self.label}] shard {shard_id} failed "
-                  f"(attempt {attempt}): {error}; requeued",
-                  file=self.out, flush=True)
-
-    def on_hung_worker(self, pid: int, shard_id: int, age: float) -> None:
-        self.summary.hung_killed += 1
-        if self.enabled:
-            print(f"[{self.label}] worker {pid} hung on shard {shard_id} "
-                  f"(no heartbeat for {age:.1f}s); killed and requeued",
-                  file=self.out, flush=True)
-
-    def on_corrupt_result(self, shard_id: int) -> None:
-        self.summary.corrupt_results += 1
-        if self.enabled:
-            print(f"[{self.label}] shard {shard_id} returned a corrupt "
-                  f"result (CRC mismatch); requeued",
-                  file=self.out, flush=True)
-
-    def on_skipped(self, shard_id: int, reason: str) -> None:
-        self.summary.shards_skipped += 1
-        if self.enabled:
-            print(f"[{self.label}] shard {shard_id} skipped: {reason}",
-                  file=self.out, flush=True)
-
-    def on_budget_stop(self, shard_id: int) -> None:
-        self.summary.budget_stops += 1
-
-    def on_node_joined(self, node_id: str) -> None:
-        self.summary.nodes_joined += 1
-        if self.enabled:
-            print(f"[{self.label}] node {node_id} joined",
-                  file=self.out, flush=True)
-
-    def on_node_lost(self, node_id: str, reason: str) -> None:
-        self.summary.nodes_lost += 1
-        if self.enabled:
-            print(f"[{self.label}] node {node_id} lost: {reason}",
-                  file=self.out, flush=True)
-
-    def on_node_refused(self, node_id: str, reason: str) -> None:
-        self.summary.nodes_refused += 1
-        if self.enabled:
-            print(f"[{self.label}] node {node_id} refused: {reason}",
-                  file=self.out, flush=True)
-
-    def on_lease_expired(self, shard_id: int, node_id: str) -> None:
-        self.summary.leases_expired += 1
-        if self.enabled:
-            print(f"[{self.label}] lease on shard {shard_id} "
-                  f"(node {node_id}) expired; requeued",
-                  file=self.out, flush=True)
-
-    def on_fenced(self, shard_id: int, node_id: str) -> None:
-        self.summary.results_fenced += 1
-        if self.enabled:
-            print(f"[{self.label}] stale result for shard {shard_id} "
-                  f"from node {node_id} fenced off",
-                  file=self.out, flush=True)
-
-    def on_quarantined(self, count: int) -> None:
-        self.summary.quarantined_lines += count
-
-    def on_durable_error(self, detail: str) -> None:
-        """A checkpoint/corpus write failed (disk full, I/O error); the
-        campaign carries on in memory with honest coverage accounting."""
-        self.summary.durable_write_errors += 1
-        if self.enabled:
-            print(f"[{self.label}] durable write failed ({detail}); "
-                  f"continuing in-memory with degraded coverage",
-                  file=self.out, flush=True)
-
-    def on_hedge(self, shard_id: int, elapsed: float,
-                 deadline: float) -> None:
-        self.summary.hedges_issued += 1
-        if self.enabled:
-            print(f"[{self.label}] shard {shard_id} past its hedge "
-                  f"deadline ({elapsed:.1f}s > {deadline:.1f}s); "
-                  f"speculatively re-dispatched", file=self.out, flush=True)
-
-    def on_hedge_win(self, shard_id: int) -> None:
-        self.summary.hedge_wins += 1
-        if self.enabled:
-            print(f"[{self.label}] hedge won shard {shard_id}; original "
-                  f"dispatch abandoned", file=self.out, flush=True)
-
-    def on_hedge_loss(self, shard_id: int, wasted_execs: int = 0) -> None:
-        self.summary.hedge_losses += 1
-        self.summary.hedge_wasted_execs += wasted_execs
-
-    def on_audit(self, shard_id: int, diverged: bool) -> None:
-        self.summary.audits_done += 1
-        if diverged:
-            self.summary.audit_divergences += 1
-            if self.enabled:
-                print(f"[{self.label}] audit: shard {shard_id} diverged "
-                      f"from trusted re-execution", file=self.out,
-                      flush=True)
-
-    def on_worker_quarantined(self, who: str, reason: str) -> None:
-        self.summary.workers_quarantined += 1
-        if self.enabled:
-            print(f"[{self.label}] quarantined {who}: {reason}",
-                  file=self.out, flush=True)
-
-    def on_drain(self) -> None:
-        self.summary.drained = True
-        if self.enabled:
-            print(f"[{self.label}] draining: no new grants, waiting for "
-                  f"in-flight leases", file=self.out, flush=True)
+        self.emit("retry", shard=shard_id, attempt=attempt, error=error)
 
     def finish(self) -> TelemetrySummary:
-        self.summary.wall_seconds = time.perf_counter() - self._start
-        if self.enabled:
-            self._emit(force=True, final=True)
+        self.emit("finished")
         return self.summary
 
     # ------------------------------------------------------------------
-    def _emit(self, force: bool = False, final: bool = False) -> None:
-        if not self.enabled:
-            return
+    def _line(self, event: Event) -> str:
+        parts = [f"[{self.label}] {event.kind}"]
+        for key, value in (("shard", event.shard),
+                           ("attempt", event.attempt),
+                           ("node", event.node), *event.fields.items()):
+            if value is None or isinstance(value, dict):
+                continue
+            parts.append(f"{key}={value:.1f}" if isinstance(value, float)
+                         else f"{key}={value}")
+        return " ".join(parts)
+
+    def _status(self, final: bool) -> None:
         now = time.perf_counter()
-        if not force and now - self._last_emit < self.interval:
+        if not final and now - self._last_status < STATUS_INTERVAL:
             return
-        self._last_emit = now
+        self._last_status = now
         s = self.summary
         elapsed = max(now - self._start, 1e-9)
         rate = s.executions / elapsed
-        if s.shards_done and s.shards_done < s.shards_total:
-            eta = elapsed / s.shards_done * (s.shards_total - s.shards_done)
-            eta_txt = f" | ETA {eta:5.1f}s"
-        else:
-            eta_txt = ""
+        left = (s.shards_total - s.shards_done - s.shards_dropped
+                - s.shards_skipped)
+        eta_txt = (f" | ETA {elapsed / s.shards_done * left:5.1f}s"
+                   if s.shards_done and left > 0 and not final else "")
         workers = " ".join(
             f"w{pid}:{n}" for pid, n in sorted(s.worker_shards.items()))
         tag = "done" if final else "running"
+        dropped_txt = (f", {s.shards_dropped} dropped"
+                       if s.shards_dropped else "")
         dpor_txt = (f" | pruned {s.pruned_subtrees} "
                     f"(tree {s.effective_tree_size})"
                     if s.pruned_subtrees else "")
@@ -283,7 +268,7 @@ class ProgressReporter:
                         if s.audit_divergences else "")
                      if s.audits_done else "")
         print(f"[{self.label}] {tag}: shards {s.shards_done}/"
-              f"{s.shards_total} ({s.shards_resumed} resumed) | "
-              f"{s.executions} exec ({rate:,.0f}/s) | {s.steps} steps"
-              f"{dpor_txt}{hedge_txt}{audit_txt}{eta_txt} | {workers}",
-              file=self.out, flush=True)
+              f"{s.shards_total} ({s.shards_resumed} resumed"
+              f"{dropped_txt}) | {s.executions} exec ({rate:,.0f}/s) | "
+              f"{s.steps} steps{dpor_txt}{hedge_txt}{audit_txt}{eta_txt}"
+              f" | {workers}", file=sys.stderr, flush=True)

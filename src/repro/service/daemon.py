@@ -47,7 +47,7 @@ from ..engine.registry import ScenarioSpec
 from ..engine.retry import jittered_backoff
 from ..engine.vfs import DurableWriteError, atomic_write_text
 from .api import ApiServer, RetryableServiceError, ServiceError
-from .store import CANCELLED, Job, JobStore
+from .store import CANCELLED, Job, JobStore, WalSink
 
 #: Discovery file the CLI verbs read to find a running daemon.
 DISCOVERY_FILE = "service.json"
@@ -276,44 +276,9 @@ class CampaignDaemon:
                           lease_seconds=self.config.lease_seconds,
                           node_wait_seconds=self.config.node_wait_seconds)
         job_id = job.job_id
-        wal_errors: List[str] = []
-
-        def guarded(write: Callable, *args) -> None:
-            # A WAL append that hits a full/failing disk must not kill
-            # the campaign: the in-memory tables never ran ahead (the
-            # append failed *before* `_apply`), the in-process lease
-            # table still fences, and the loss is reported honestly in
-            # the job summary below.
-            try:
-                write(*args)
-            except DurableWriteError as err:
-                wal_errors.append(str(err))
-                self.emit(f"[service] {job_id}: WAL append failed "
-                          f"({err}); continuing with degraded "
-                          f"accounting")
-
-        def on_event(kind: str, **fields) -> None:
-            # WAL-before-action: each record lands (and may crash at
-            # its fault site) before the transition it describes.
-            if kind == "grant":
-                guarded(self.store.record_grant, job_id, fields["shard"],
-                        fields["token"], fields["attempt"],
-                        fields["node"])
-                fault_point("service.grant", shard=fields["shard"],
-                            attempt=fields["attempt"])
-            elif kind == "merge":
-                guarded(self.store.record_merge, job_id, fields["shard"],
-                        fields["token"], fields["executions"])
-            elif kind == "divergence":
-                guarded(self.store.record_divergence, job_id,
-                        fields["shard"], fields["node"],
-                        fields["finding"])
-            elif kind == "settled":
-                fault_point("service.pre_merge")
-
+        wal = WalSink(self.store, job_id, self.emit)
         coord = Coordinator(params, spec, dist,
-                            listener=self._node_listener,
-                            on_event=on_event,
+                            listener=self._node_listener, sink=wal,
                             token_floor=job.token_floor)
         with self._lock:
             self._coord = coord
@@ -355,18 +320,18 @@ class CampaignDaemon:
                            indent=2),
                 site="service.report")
         except DurableWriteError as err:
-            wal_errors.append(str(err))
+            wal.errors.append(str(err))
             self.emit(f"[service] {job_id}: report write failed ({err}); "
                       f"result held in the WAL summary only")
             report_path = ""
         cov = result.coverage
-        degraded = cov.degraded or bool(wal_errors)
+        degraded = cov.degraded or bool(wal.errors)
         summary = {"executions": result.report.executions,
                    "shards_complete": cov.shards_complete,
                    "shards_total": cov.shards_total,
                    "degraded": degraded,
                    "exhausted": result.report.exhausted and not degraded,
-                   "wal_errors": len(wal_errors),
+                   "wal_errors": len(wal.errors),
                    "divergences": cov.divergences,
                    "report": report_path}
         try:

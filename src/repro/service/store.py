@@ -38,6 +38,9 @@ Two records exist purely so restarts cannot lie:
   and re-granting a merged shard after replay is a no-op upstream
   (the checkpoint, keyed by the run fingerprint, is the result truth;
   the WAL is the accounting truth).
+
+`WalSink` writes the ``grant``, ``merge`` and ``divergence`` records as
+the event sink (`repro.engine.telemetry`) of a job's run.
 """
 
 from __future__ import annotations
@@ -45,9 +48,12 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from ..engine.durable import LineDiagnostics, append_line, read_records
+from ..engine.faults import fault_point
+from ..engine.telemetry import Event
+from ..engine.vfs import DurableWriteError
 
 SUBMITTED = "submitted"
 RUNNING = "running"
@@ -270,3 +276,46 @@ class JobStore:
             active = [j for j in self._jobs.values() if j.active]
             active.sort(key=lambda j: (j.state != RUNNING, j.seq))
             return active[0] if active else None
+
+
+class WalSink:
+    """A job's WAL as the event sink of its run: a ``grant``, ``merge``
+    or ``divergence`` event becomes the record of that name, landing
+    before the action the event describes.  It also hosts the
+    ``service.grant`` and ``service.pre_merge`` fault sites."""
+
+    def __init__(self, store: JobStore, job_id: str,
+                 say: Callable[[str], None] = lambda line: None):
+        self.store = store
+        self.job_id = job_id
+        self.say = say
+        #: WAL appends that failed; the job summary reports them.
+        self.errors: List[str] = []
+
+    def __call__(self, event: Event) -> None:
+        f = event.fields
+        if event.kind == "grant":
+            self._write(self.store.record_grant, event.shard, f["token"],
+                        event.attempt, event.node)
+            fault_point("service.grant", shard=event.shard,
+                        attempt=event.attempt)
+        elif event.kind == "merge":
+            self._write(self.store.record_merge, event.shard, f["token"],
+                        f["executions"])
+        elif event.kind == "divergence":
+            self._write(self.store.record_divergence, event.shard,
+                        event.node, f["finding"])
+        elif event.kind == "settled":
+            fault_point("service.pre_merge")
+
+    def _write(self, record: Callable, *args) -> None:
+        # A WAL append that hits a full/failing disk must not kill the
+        # campaign: the in-memory tables never ran ahead (the append
+        # failed *before* `_apply`), the in-process lease table still
+        # fences, and the loss is reported honestly in the job summary.
+        try:
+            record(self.job_id, *args)
+        except DurableWriteError as err:
+            self.errors.append(str(err))
+            self.say(f"[service] {self.job_id}: WAL append failed "
+                     f"({err}); continuing with degraded accounting")
