@@ -304,7 +304,7 @@ class TestEngineOverhead:
         scenario = build_scenario(spec)
         params = EngineParams(styles=(), exhaustive=True, max_steps=400,
                               max_executions=100_000, workers=2,
-                              shard_timeout=5.0, heartbeat_interval=0.05)
+                              shard_timeout=5.0)
         clean = run_scenario(scenario, params, spec=spec)
         plan = FaultPlan((Fault("worker.explore", "crash", shard=1,
                                 attempt=1),))

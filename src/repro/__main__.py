@@ -48,26 +48,38 @@ import argparse
 import sys
 
 
-def _engine_kwargs(args) -> dict:
-    kwargs = {
-        "workers": args.workers,
-        "checkpoint": args.resume,
-        "corpus": args.corpus,
-        "progress": args.progress,
+def _engine_options(args) -> dict:
+    """The engine flags as `EngineParams` fields; a flag left unset
+    keeps the engine's default."""
+    options = {
+        "workers": args.workers, "progress": args.progress,
+        "checkpoint": args.resume, "corpus": args.corpus,
+        "corpus_cap": args.corpus_cap, "max_retries": args.max_retries,
+        "shard_timeout": args.shard_timeout,
         "shard_seconds": args.shard_seconds,
-        "run_seconds": args.run_seconds,
-        "max_rss_mb": args.max_rss_mb,
-        "dpor": args.dpor,
-        "max_retries": args.max_retries,
-        "corpus_cap": args.corpus_cap,
-        "model": args.model or "orc11",
-        "hedge": args.hedge,
+        "run_seconds": args.run_seconds, "max_rss_mb": args.max_rss_mb,
+        "dpor": args.dpor, "model": args.model, "hedge": args.hedge,
         "audit_fraction": args.audit_fraction,
     }
-    if args.shard_timeout is not None:
-        kwargs["shard_timeout"] = (None if args.shard_timeout <= 0
-                                   else args.shard_timeout)
-    return kwargs
+    options = {k: v for k, v in options.items() if v is not None}
+    if options.get("shard_timeout", 1.0) <= 0:
+        options["shard_timeout"] = None  # wait forever
+    return options
+
+
+def _dist_campaign(args) -> tuple:
+    """The ``(spec, params)`` a ``serve`` run or a service submit
+    checks: an exhaustive mixed-stress campaign under the engine
+    flags."""
+    from .core.spec_styles import SpecStyle
+    from .engine import EngineParams, ScenarioSpec
+    spec = ScenarioSpec("mixed-stress",
+                        kwargs={"impl": args.impl, "threads": args.threads,
+                                "ops": args.ops, "seed": args.seed})
+    params = EngineParams(styles=(SpecStyle.LAT_HB,), exhaustive=True,
+                          seed=args.seed, target_shards=args.target_shards,
+                          **_engine_options(args))
+    return spec, params
 
 
 def _print_coverage(report) -> None:
@@ -98,7 +110,7 @@ def cmd_mp(args) -> int:
                                 kwargs={"impl": impl, "use_flag": use_flag})
             rep = check_scenario(build_scenario(spec), styles=(),
                                  runs=args.runs, seed=1, max_steps=100_000,
-                                 spec=spec, **_engine_kwargs(args))
+                                 spec=spec, **_engine_options(args))
             flag = "with flag" if use_flag else "WITHOUT flag"
             print(f"{impl} {flag}: {rep.complete} completed, "
                   f"right-thread empty: {rep.outcome_failures}")
@@ -140,7 +152,7 @@ def cmd_spsc(args) -> int:
                                                 "capacity": 64})
             rep = check_scenario(build_scenario(spec), styles=(),
                                  runs=args.runs, seed=n, max_steps=100_000,
-                                 spec=spec, **_engine_kwargs(args))
+                                 spec=spec, **_engine_options(args))
             print(f"{impl} n={n}: FIFO violations "
                   f"{rep.outcome_failures}/{args.runs}")
             _print_coverage(rep)
@@ -155,7 +167,7 @@ def cmd_elim(args) -> int:
     rep = check_scenario(build_scenario(spec),
                          styles=(SpecStyle.LAT_HB,), runs=args.runs,
                          seed=1, max_steps=60_000, spec=spec,
-                         **_engine_kwargs(args))
+                         **_engine_options(args))
     bad = rep.styles[SpecStyle.LAT_HB].failed
     elim = rep.metrics.get("eliminated_pairs", 0)
     print(f"elim-only ES: violations={bad}, eliminated pairs={elim} "
@@ -302,22 +314,9 @@ def cmd_fsck(args) -> int:
 def cmd_serve(args) -> int:
     """Coordinate a distributed exploration (docs/distributed.md)."""
     import json
-    from .core.spec_styles import SpecStyle
-    from .engine import ScenarioSpec
     from .engine.dist import DistParams, serve_scenario
     from .engine.merge import report_to_json
-    from .engine.pool import EngineParams
-    spec = ScenarioSpec("mixed-stress",
-                        kwargs={"impl": args.impl, "threads": args.threads,
-                                "ops": args.ops, "seed": args.seed})
-    params = EngineParams(
-        styles=(SpecStyle.LAT_HB,), exhaustive=True,
-        seed=args.seed, target_shards=args.target_shards,
-        checkpoint_path=args.resume, corpus_path=args.corpus,
-        progress=args.progress, max_retries=args.max_retries,
-        run_seconds=args.run_seconds, dpor=args.dpor,
-        model=args.model or "orc11", hedge=args.hedge,
-        audit_fraction=args.audit_fraction)
+    spec, params = _dist_campaign(args)
     dist = DistParams(host=args.host, port=args.port,
                       lease_seconds=args.lease_seconds,
                       node_wait_seconds=args.node_wait)
@@ -357,23 +356,6 @@ SERVICE_VERBS = ("serve", "submit", "status", "cancel", "findings",
                  "drain")
 
 
-def _service_spec_params(args) -> tuple:
-    """The (spec, params) wire forms a submit verb sends."""
-    from .core.spec_styles import SpecStyle
-    from .engine import ScenarioSpec
-    from .engine.pool import EngineParams
-    spec = ScenarioSpec("mixed-stress",
-                        kwargs={"impl": args.impl, "threads": args.threads,
-                                "ops": args.ops, "seed": args.seed})
-    params = EngineParams(styles=(SpecStyle.LAT_HB,), exhaustive=True,
-                          seed=args.seed, dpor=args.dpor,
-                          model=args.model or "orc11", hedge=args.hedge,
-                          audit_fraction=args.audit_fraction)
-    wire = params.wire_json()
-    wire["target_shards"] = args.target_shards
-    return spec.to_json(), wire
-
-
 def _service_client(args):
     """Find the daemon (service.json beats flags) and build a client."""
     import json as _json
@@ -411,7 +393,6 @@ def cmd_service(args) -> int:
             lease_seconds=args.lease_seconds,
             node_wait_seconds=args.node_wait,
             crash_loop_window=args.crash_loop_window,
-            target_shards=args.target_shards,
             max_retries=args.max_retries, progress=args.progress)
         return CampaignDaemon(config).run()
     client = _service_client(args)
@@ -419,10 +400,10 @@ def cmd_service(args) -> int:
         return 2
     try:
         if verb == "submit":
-            spec_json, params_json = _service_spec_params(args)
-            resp = client.submit(name=args.job or spec_json["builder"],
-                                 spec_json=spec_json,
-                                 params_json=params_json,
+            spec, params = _dist_campaign(args)
+            resp = client.submit(name=args.job or spec.builder,
+                                 spec_json=spec.to_json(),
+                                 params_json=params.wire_json(),
                                  dedupe_key=args.dedupe_key or "")
             job_id = resp["job"]
             if args.quiet:
@@ -630,7 +611,7 @@ def main(argv=None) -> int:
                         metavar="MIB",
                         help="peak-RSS ceiling per worker process")
     engine.add_argument("--dpor", action=argparse.BooleanOptionalAction,
-                        default=None,
+                        default=True,
                         help="sleep-set partial-order reduction for "
                              "exhaustive exploration (default: on; "
                              "--no-dpor for the naive enumeration)")

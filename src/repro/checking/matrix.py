@@ -169,7 +169,7 @@ def run_matrix(
     exhaustive_small: bool = True,
     workers: int = 1,
     progress: bool = False,
-    dpor: Optional[bool] = None,
+    dpor: bool = True,
     model: str = "orc11",
 ) -> MatrixReport:
     """Fill the matrix: random workloads + one exhaustive tiny workload.

@@ -21,7 +21,7 @@ earliest entries, i.e. the serial-DFS-first counterexamples).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core.graph import Graph
@@ -277,118 +277,179 @@ def record_result(
                             else "violation")
 
 
-def check_scenario(
-    scenario: Scenario,
-    styles: Sequence[SpecStyle] = (SpecStyle.LAT_HB,),
-    exhaustive: bool = False,
-    runs: int = 300,
-    seed: int = 0,
-    max_steps: int = 20_000,
-    max_executions: int = 100_000,
-    workers: int = 1,
-    spec=None,
-    checkpoint: Optional[str] = None,
-    corpus: Optional[str] = None,
-    progress: bool = False,
-    max_retries: int = 2,
-    start_method: Optional[str] = None,
-    shard_timeout: Optional[float] = -1.0,
-    shard_seconds: Optional[float] = None,
-    run_seconds: Optional[float] = None,
-    max_rss_mb: Optional[float] = None,
-    dpor: Optional[bool] = None,
-    corpus_cap: Optional[int] = None,
-    model: str = "orc11",
-    hedge: bool = False,
-    audit_fraction: float = 0.0,
-) -> ScenarioReport:
+#: Default cap on corpus entries collected per run
+#: (`EngineParams.corpus_cap`, `repro.engine.corpus`): a badly broken
+#: implementation can fail on *every* execution; the first entries are
+#: the serial-DFS-first counterexamples and carry all the signal.
+CORPUS_CAP = 100
+
+#: Seconds a local node may hold a lease without a beat before it is
+#: declared hung, SIGKILLed and replaced.  A real default, so a lone
+#: hung node cannot stall a run forever.  Exploration loops beat
+#: *between* executions, so keep this comfortably above the longest
+#: single execution (``max_steps`` bounds it).
+DEFAULT_SHARD_TIMEOUT = 300.0
+
+#: `EngineParams` fields a remote node needs besides the fingerprint.
+_NODE_FIELDS = ("target_shards", "corpus_cap", "hedge", "audit_fraction")
+
+
+@dataclass
+class EngineParams:
+    """Everything that shapes one check: the one place each option of
+    `check_scenario` and the engine (`repro.engine`) is declared."""
+
+    styles: Sequence[SpecStyle] = (SpecStyle.LAT_HB,)
+    exhaustive: bool = False
+    runs: int = 300
+    seed: int = 0
+    max_steps: int = 20_000
+    #: Execution cap for the whole run, however it is sharded: the merge
+    #: keeps the first ``max_executions`` executions in shard order
+    #: (`repro.engine.pool.execution_cut`), exactly the ones a serial
+    #: run checks.
+    max_executions: int = 100_000
+    #: Local worker processes the run is sharded across.
+    workers: int = 1
+    #: Shard-count target (None = `SHARDS_PER_WORKER` per worker).
+    target_shards: Optional[int] = None
+    #: Checkpoint log of completed shards; a rerun resumes from it.
+    checkpoint: Optional[str] = None
+    #: Corpus file every failing trace is appended to as a replayable
+    #: entry, at most ``corpus_cap`` of them per run.
+    corpus: Optional[str] = None
+    corpus_cap: int = CORPUS_CAP
+    #: Live progress lines on stderr.
+    progress: bool = False
+    #: Failed attempts a shard may retry before the run gives up on it.
+    max_retries: int = 2
+    #: A local node's lease: seconds without a beat before the node is
+    #: declared hung, killed and replaced, and its shard requeued
+    #: (None = wait forever).
+    shard_timeout: Optional[float] = DEFAULT_SHARD_TIMEOUT
+    #: Wall-clock budget per shard; a breaching shard stops cleanly and
+    #: returns a partial report flagged ``budget_exhausted``.
+    shard_seconds: Optional[float] = None
+    #: Wall-clock budget for the whole run; on breach remaining shards
+    #: are skipped and the merged report carries coverage accounting.
+    run_seconds: Optional[float] = None
+    #: Peak-RSS ceiling per worker process, in MiB.
+    max_rss_mb: Optional[float] = None
+    #: Sleep-set partial-order reduction (`repro.rmc.dpor`) in
+    #: exhaustive mode; randomized mode ignores it.
+    dpor: bool = True
+    #: Memory model id (`repro.models`): the semantics every execution
+    #: of this run is interpreted under.  Part of the fingerprint —
+    #: outcome sets differ across models, so checkpoints and corpus
+    #: records must never mix models.
+    model: str = "orc11"
+    #: Hedged execution (`repro.engine.hedge`): once a shard runs past
+    #: the adaptive deadline, dispatch a speculative duplicate; the
+    #: first structurally-valid result wins.  Deliberately *not* part
+    #: of the fingerprint: hedging changes who delivers a result, never
+    #: what it contains.
+    hedge: bool = False
+    #: Fraction of completed shards re-executed by the trusted driver
+    #: process and fingerprint-compared (`repro.engine.audit`); 0 = off.
+    #: Also excluded from the fingerprint for the same reason.
+    audit_fraction: float = 0.0
+
+    def dpor_on(self) -> bool:
+        """The resolved DPOR switch: only exhaustive mode reduces."""
+        return self.exhaustive and self.dpor
+
+    def fingerprint_json(self) -> Dict:
+        """The parameters that determine exploration results.
+
+        Budgets and timeouts are deliberately excluded: they shape *how
+        far* a run gets, not what any completed shard contains, so
+        checkpoints stay resumable across different budget settings.
+        """
+        return {
+            "styles": [s.name for s in self.styles],
+            "exhaustive": self.exhaustive,
+            "runs": self.runs,
+            "seed": self.seed,
+            "max_steps": self.max_steps,
+            "max_executions": self.max_executions,
+            "dpor": self.dpor_on(),
+            "model": self.model,
+        }
+
+    def wire_json(self) -> Dict:
+        """The fields a remote node or a submitted campaign needs.
+
+        A superset of `fingerprint_json` (everything result-determining)
+        plus the shard target and the knobs that shape a node's local
+        loop; budgets and watchdog windows stay coordinator-side.
+        """
+        data = self.fingerprint_json()
+        data.update((name, getattr(self, name)) for name in _NODE_FIELDS)
+        return data
+
+    @staticmethod
+    def from_wire(data: Dict) -> "EngineParams":
+        """Rebuild params from `wire_json` (or `fingerprint_json`)
+        output; a field the data lacks keeps its default."""
+        names = {f.name for f in fields(EngineParams)}
+        kwargs = {k: v for k, v in data.items() if k in names}
+        kwargs["styles"] = tuple(SpecStyle[name] for name in data["styles"])
+        return EngineParams(**kwargs)
+
+
+def check_scenario(scenario: Scenario, spec=None,
+                   **options) -> ScenarioReport:
     """Explore the scenario and check every complete execution.
 
-    With ``workers > 1`` (or any of ``checkpoint``/``corpus``/
-    ``progress``/the budgets) the exploration is delegated to the
-    parallel engine (`repro.engine`): the decision tree (exhaustive
-    mode) or seed range (randomized mode) is sharded across local
-    worker processes and the per-shard partial reports are merged back —
-    byte-for-byte equal to the serial run, modulo ``seconds``.  ``spec``
-    optionally names the scenario in the engine's builder registry so
-    corpus entries stay replayable across processes.  However the run
-    is sharded, ``max_executions`` caps the whole run: the merge keeps
-    the first ``max_executions`` executions in shard order, exactly the
-    ones the serial run checks.
-
-    ``shard_seconds``/``run_seconds``/``max_rss_mb`` are graceful
-    degradation budgets (see ``docs/robustness.md``): on breach the run
-    returns a partial report flagged ``budget_exhausted`` with coverage
-    accounting instead of dying.  ``shard_timeout`` is a local node's
-    lease: seconds without a beat before it counts as hung (pass None
-    for wait-forever; the default sentinel keeps the engine's default).
-
-    ``dpor`` controls sleep-set partial-order reduction
-    (`repro.rmc.dpor`): on by default in exhaustive mode, ignored in
-    randomized mode.  Pruned-branch counts land in
-    ``report.pruned_subtrees``.
-
-    ``corpus_cap`` bounds how many counterexample entries the run
-    persists to ``corpus`` (``None`` keeps the engine default,
-    `repro.engine.corpus.CORPUS_CAP`); it only matters when a corpus
-    path is given.
-
-    ``model`` selects the memory model (`repro.models`) every execution
-    is interpreted under; it is part of the engine fingerprint and is
-    stamped into corpus entries, so checkpoints and counterexamples
-    never mix models.
-
-    ``hedge`` speculatively re-dispatches straggler shards past an
-    adaptive deadline, and ``audit_fraction`` re-executes that fraction
-    of completed shards in the driver to screen for silent corruption
-    (both ``docs/robustness.md``); neither changes the merged report's
-    contents on an honest fleet.
+    ``options`` are `EngineParams` fields.  Unless one of them needs the
+    parallel engine (workers, durable files, progress, budgets, hedging
+    or audits), this is the serial reference loop: exhaustive DFS (sleep-set reduced unless
+    ``dpor=False``) or ``runs`` seeded random executions, capped at
+    ``max_executions``.  Otherwise the run is delegated to
+    `repro.engine.run_scenario`: the decision tree (exhaustive mode) or
+    seed range (randomized mode) is sharded across local worker
+    processes and the per-shard partial reports are merged back —
+    byte-for-byte equal to the serial run, modulo ``seconds``, however
+    it is sharded.  ``spec`` optionally names the scenario in the
+    engine's builder registry so spawned workers can rebuild it and
+    corpus entries stay replayable across processes.
     """
-    budgets = (shard_seconds is not None or run_seconds is not None
-               or max_rss_mb is not None)
-    if workers <= 1 and checkpoint is None and corpus is None \
-            and not progress and not budgets \
-            and not hedge and audit_fraction <= 0:
-        report = ScenarioReport(scenario=scenario.name)
-        report.styles = {s: StyleTally() for s in styles}
-        start = time.perf_counter()
-        dstats = DporStats()
-        if exhaustive:
-            if dpor is not False:
-                source = explore_all_dpor(scenario.factory,
-                                          max_steps=max_steps,
-                                          max_executions=max_executions,
-                                          stats=dstats, model=model)
-            else:
-                source = explore_all(scenario.factory, max_steps=max_steps,
-                                     max_executions=max_executions,
-                                     model=model)
-        else:
-            source = explore_random(scenario.factory, runs=runs, seed=seed,
-                                    max_steps=max_steps, model=model)
-        for result in source:
-            record_result(report, scenario, result, styles)
-            if report.executions >= max_executions:
-                break
-        report.pruned_subtrees = dstats.pruned_subtrees
-        report.exhausted = exhaustive and report.executions < max_executions
-        report.seconds = time.perf_counter() - start
-        return report
-
-    from ..engine import EngineParams, run_scenario
-    params = EngineParams(
-        styles=tuple(styles), exhaustive=exhaustive, runs=runs, seed=seed,
-        max_steps=max_steps, max_executions=max_executions,
-        workers=workers, checkpoint_path=checkpoint, corpus_path=corpus,
-        progress=progress, max_retries=max_retries,
-        start_method=start_method, shard_seconds=shard_seconds,
-        run_seconds=run_seconds, max_rss_mb=max_rss_mb, dpor=dpor,
-        model=model, hedge=hedge, audit_fraction=audit_fraction)
-    if corpus_cap is not None:
-        params.corpus_cap = corpus_cap
-    if shard_timeout is None or shard_timeout >= 0:
-        params.shard_timeout = shard_timeout
-    return run_scenario(scenario, params, spec=spec).report
+    params = EngineParams(**options)
+    if (params.workers > 1 or params.checkpoint is not None
+            or params.corpus is not None or params.progress
+            or params.shard_seconds is not None
+            or params.run_seconds is not None
+            or params.max_rss_mb is not None or params.hedge
+            or params.audit_fraction > 0):
+        from ..engine.pool import run_scenario
+        return run_scenario(scenario, params, spec=spec).report
+    report = ScenarioReport(scenario=scenario.name)
+    report.styles = {s: StyleTally() for s in params.styles}
+    start = time.perf_counter()
+    dstats = DporStats()
+    if params.dpor_on():
+        source = explore_all_dpor(scenario.factory,
+                                  max_steps=params.max_steps,
+                                  max_executions=params.max_executions,
+                                  stats=dstats, model=params.model)
+    elif params.exhaustive:
+        source = explore_all(scenario.factory, max_steps=params.max_steps,
+                             max_executions=params.max_executions,
+                             model=params.model)
+    else:
+        source = explore_random(scenario.factory, runs=params.runs,
+                                seed=params.seed,
+                                max_steps=params.max_steps,
+                                model=params.model)
+    for result in source:
+        record_result(report, scenario, result, params.styles)
+        if report.executions >= params.max_executions:
+            break
+    report.pruned_subtrees = dstats.pruned_subtrees
+    report.exhausted = (params.exhaustive
+                        and report.executions < params.max_executions)
+    report.seconds = time.perf_counter() - start
+    return report
 
 
 # ----------------------------------------------------------------------

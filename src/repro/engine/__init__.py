@@ -38,20 +38,18 @@ See ``docs/engine.md`` for the sharding strategy, file formats, and the
 replay workflow, and ``docs/robustness.md`` for the failure model.
 """
 
+from ..checking.runner import CORPUS_CAP, DEFAULT_SHARD_TIMEOUT
 from .budget import BudgetSpec, BudgetTracker, Coverage, rss_mb
-from .checkpoint import (CheckpointWriter, load_completed,
-                         load_completed_ex, run_fingerprint)
-from .corpus import (CORPUS_CAP, CorpusEntry, CorpusSink, ModelMismatch,
-                     ReplayOutcome, append_entries, entry_hash, load_corpus,
-                     replay_entry)
+from .checkpoint import CheckpointWriter, load_completed_ex, run_fingerprint
+from .corpus import (CorpusEntry, CorpusSink, ModelMismatch, ReplayOutcome,
+                     append_entries, entry_hash, load_corpus, replay_entry)
 from .durable import LineDiagnostics, append_line, read_records
 from .faults import (CRASH_EXIT_CODE, FAULT_PLAN_ENV, Fault, FaultInjected,
                      FaultPlan, fault_point)
 from .merge import (merge_reports, report_from_json, report_to_json,
-                    stats_from_json, stats_to_json, tally_from_json,
-                    tally_to_json, trace_from_json)
-from .pool import (DEFAULT_SHARD_TIMEOUT, EngineParams, EngineResult,
-                   ResultCorrupt, ShardFailed, plan_shards_ex, run_scenario)
+                    tally_from_json, tally_to_json, trace_from_json)
+from .pool import (EngineParams, EngineResult, ResultCorrupt, ShardFailed,
+                   plan_shards_ex, run_scenario)
 from .registry import (ScenarioSpec, build_scenario, register_scenario,
                        registered_builders)
 from .shard import (SHARDS_PER_WORKER, Shard, iter_shard,
@@ -69,9 +67,8 @@ __all__ = [
     "plan_exhaustive_shards_dpor", "plan_random_shards",
     "SHARDS_PER_WORKER",
     "merge_reports", "report_to_json", "report_from_json",
-    "stats_to_json", "stats_from_json",
     "tally_to_json", "tally_from_json", "trace_from_json",
-    "CheckpointWriter", "load_completed", "load_completed_ex",
+    "CheckpointWriter", "load_completed_ex",
     "run_fingerprint",
     "CorpusEntry", "CorpusSink", "ReplayOutcome", "CORPUS_CAP",
     "append_entries", "entry_hash", "load_corpus", "replay_entry",

@@ -10,6 +10,7 @@ byte-identical report.  The audit layer exploits that:
 
 * :func:`report_fingerprint` — canonical hash of a shard report with
   wall-time stripped (the one legitimately nondeterministic field);
+  :func:`report_divergence` names where two reports' fingerprints part;
 * :class:`AuditSampler` — a seeded hash draw picks which completed
   shards get re-executed (``audit_fraction`` of them, deterministically
   per ``(seed, shard)`` so reruns audit the same shards);
@@ -53,6 +54,13 @@ AUDIT_ATTEMPT_BASE = 2000
 RESULT_DIVERGENCE = "result-divergence"
 
 
+def _fingerprinted(report) -> Dict[str, Any]:
+    """The report document a fingerprint covers: all but ``seconds``."""
+    data = report_to_json(report)
+    data.pop("seconds", None)
+    return data
+
+
 def report_fingerprint(report) -> str:
     """Canonical content hash of a shard report, wall-time excluded.
 
@@ -61,10 +69,22 @@ def report_fingerprint(report) -> str:
     other field — counts, tallies, example lists, traces — must match
     exactly between any two executions of the same shard.
     """
-    data = report_to_json(report)
-    data.pop("seconds", None)
-    blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(_fingerprinted(report), sort_keys=True,
+                      separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def report_divergence(expected, observed) -> Optional[str]:
+    """None when two reports have one fingerprint; otherwise their
+    first differing path (`bisect_divergence`), as one line."""
+    if report_fingerprint(expected) == report_fingerprint(observed):
+        return None
+    leaf = bisect_divergence(_fingerprinted(expected),
+                             _fingerprinted(observed))
+    if leaf is None:
+        return "report fingerprints differ"
+    path, want, got = leaf
+    return f"report differs at {path}: {got!r} != {want!r}"
 
 
 class AuditSampler:
@@ -177,11 +197,8 @@ def audit_shard(scenario, spec: Optional[ScenarioSpec], shard: Shard,
     trusted_fp = report_fingerprint(trusted[0])
     if trusted_fp == observed_fingerprint:
         return trusted, None
-    expected_json = report_to_json(trusted[0])
-    observed_json = report_to_json(expected_report)
-    expected_json.pop("seconds", None)
-    observed_json.pop("seconds", None)
-    leaf = bisect_divergence(expected_json, observed_json)
+    leaf = bisect_divergence(_fingerprinted(trusted[0]),
+                             _fingerprinted(expected_report))
     finding = DivergenceFinding(
         shard_id=shard_id, shard=shard, worker=worker,
         expected_fingerprint=trusted_fp,

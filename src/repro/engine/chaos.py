@@ -57,6 +57,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..checking.runner import ScenarioReport
 from ..core.spec_styles import SpecStyle
+from .audit import report_divergence
 from .corpus import load_corpus
 from .faults import Fault, FaultPlan
 from .pool import EngineParams, EngineResult, run_scenario
@@ -76,7 +77,6 @@ CHAOS_RUNS = 40
 #: loaded node never loses it, short enough that the hang cells stay
 #: quick.
 CHAOS_SHARD_TIMEOUT = 2.0
-CHAOS_HEARTBEAT = 0.05
 
 
 @dataclass(frozen=True)
@@ -132,45 +132,20 @@ class ChaosOutcome:
     mismatches: List[str] = field(default_factory=list)
 
 
-def report_mismatches(got: ScenarioReport,
-                      want: ScenarioReport) -> List[str]:
-    """Field-wise diff of two reports, ignoring timing (``seconds``)."""
-    bad: List[str] = []
-    for name in ("scenario", "executions", "complete", "truncated",
-                 "raced", "steps", "exhausted", "outcome_failures",
-                 "outcome_examples", "metrics"):
-        if getattr(got, name) != getattr(want, name):
-            bad.append(f"{name}: {getattr(got, name)!r} != "
-                       f"{getattr(want, name)!r}")
-    if [list(t) for t in got.outcome_traces] \
-            != [list(t) for t in want.outcome_traces]:
-        bad.append("outcome_traces differ")
-    if set(got.styles) != set(want.styles):
-        bad.append(f"styles: {set(got.styles)} != {set(want.styles)}")
-        return bad
-    for style in want.styles:
-        tg, tw = got.styles[style], want.styles[style]
-        if (tg.checked, tg.failed) != (tw.checked, tw.failed):
-            bad.append(f"{style}: checked/failed "
-                       f"{(tg.checked, tg.failed)} != "
-                       f"{(tw.checked, tw.failed)}")
-        if tg.examples != tw.examples:
-            bad.append(f"{style}: examples differ")
-        if [list(t) for t in tg.failing_traces] \
-                != [list(t) for t in tw.failing_traces]:
-            bad.append(f"{style}: failing traces differ")
-    return bad
+def _diverged(want: ScenarioReport, got: ScenarioReport) -> List[str]:
+    """A row's mismatch with the fault-free report, if any."""
+    diverged = report_divergence(want, got)
+    return [diverged] if diverged else []
 
 
 def _params(case: ChaosCase, workdir: Optional[str]) -> EngineParams:
     params = EngineParams(
         styles=CHAOS_STYLES, exhaustive=case.exhaustive, runs=CHAOS_RUNS,
         seed=0, max_steps=100_000, workers=case.workers, target_shards=4,
-        shard_timeout=CHAOS_SHARD_TIMEOUT,
-        heartbeat_interval=CHAOS_HEARTBEAT)
+        shard_timeout=CHAOS_SHARD_TIMEOUT)
     if case.durable:
-        params.checkpoint_path = os.path.join(workdir, "checkpoint.jsonl")
-        params.corpus_path = os.path.join(workdir, "corpus.jsonl")
+        params.checkpoint = os.path.join(workdir, "checkpoint.jsonl")
+        params.corpus = os.path.join(workdir, "corpus.jsonl")
     for name, value in case.params_update:
         setattr(params, name, value)
     return params
@@ -213,7 +188,7 @@ def run_case(case: ChaosCase,
         if case.expect_degraded:
             want = copy.copy(baseline)
             want.exhausted = False
-        mismatches = report_mismatches(result.report, want)
+        mismatches = _diverged(want, result.report)
         leaked = _leaked_children(before)
         if leaked:
             mismatches.append(f"leaked child processes: {leaked}")
@@ -327,17 +302,16 @@ def build_cases(max_workers: int = 2) -> List[ChaosCase]:
     if max_workers >= 2:
         # A worker pinned 2.5 s inside shard 1 — slow, not hung: the
         # delay site keeps beating, so its lease stays renewed and only
-        # hedging can rescue the shard.  The adaptive deadline
-        # must fire, the speculative duplicate must win, and the merge
-        # must still be byte-for-byte serial.
+        # hedging can rescue the shard.  The adaptive deadline (here its
+        # 0.5 s floor) must fire, the speculative duplicate must win,
+        # and the merge must still be byte-for-byte serial.
         cases.append(ChaosCase(
             name="hedge-straggler-rescue",
             plan=FaultPlan((Fault("hedge.slow_worker", "delay",
                                   shard=1, attempt=1,
                                   delay_seconds=2.5),)),
             workers=4, exhaustive=True,
-            params_update=(("hedge", True), ("hedge_floor", 0.25),
-                           ("hedge_factor", 1.5)),
+            params_update=(("hedge", True),),
             want_counter="hedge_wins"))
         # A worker that lies: shard 1's result blob has a digit of its
         # execution count rotated *before* the CRC is stamped, so the
@@ -446,8 +420,7 @@ def run_dist_case(case: DistChaosCase,
     before = {p.pid for p in multiprocessing.active_children()}
     params = EngineParams(styles=CHAOS_STYLES, exhaustive=True,
                           runs=CHAOS_RUNS, seed=0, max_steps=100_000,
-                          target_shards=4,
-                          heartbeat_interval=CHAOS_HEARTBEAT)
+                          target_shards=4)
     procs: List = []
     box: Dict = {}
 
@@ -463,8 +436,7 @@ def run_dist_case(case: DistChaosCase,
         with case.plan:
             coord = Coordinator(params, CHAOS_SPEC,
                                 DistParams(lease_seconds=DIST_LEASE_SECONDS,
-                                           node_wait_seconds=DIST_NODE_WAIT,
-                                           tick=0.05))
+                                           node_wait_seconds=DIST_NODE_WAIT))
             serve = threading.Thread(
                 target=lambda: box.update(result=coord.serve()),
                 daemon=True)
@@ -484,7 +456,7 @@ def run_dist_case(case: DistChaosCase,
             return ChaosOutcome(case, ok=False,
                                 detail="coordinator did not settle")
         result: EngineResult = box["result"]
-        mismatches = report_mismatches(result.report, baseline)
+        mismatches = _diverged(baseline, result.report)
     finally:
         for proc in procs:
             if proc.is_alive():
@@ -548,11 +520,11 @@ def run_service_case(baseline: ScenarioReport) -> ChaosOutcome:
                                   stderr=subprocess.STDOUT)
         client = _service_discover(data_dir, daemon)
         params = EngineParams(styles=CHAOS_STYLES, exhaustive=True,
-                              runs=CHAOS_RUNS, seed=0, max_steps=100_000)
-        wire = params.wire_json()
-        wire["target_shards"] = 4
+                              runs=CHAOS_RUNS, seed=0, max_steps=100_000,
+                              target_shards=4)
         resp = client.submit(name="chaos", spec_json=CHAOS_SPEC.to_json(),
-                             params_json=wire, dedupe_key="chaos-svc")
+                             params_json=params.wire_json(),
+                             dedupe_key="chaos-svc")
         job_id = resp["job"]
         # The injected crash fires at shard 1's first grant.
         rc = daemon.wait(timeout=60.0)
@@ -578,7 +550,7 @@ def run_service_case(baseline: ScenarioReport) -> ChaosOutcome:
                                        "report.json")
             with open(report_path, "r", encoding="utf-8") as fh:
                 got = report_from_json(json.load(fh))
-            mismatches.extend(report_mismatches(got, baseline))
+            mismatches.extend(_diverged(baseline, got))
             records, _diag = read_records(
                 os.path.join(data_dir, "wal.jsonl"))
             merges = [r["shard"] for r in records

@@ -82,13 +82,6 @@ def load_completed_ex(path: str, fingerprint: str) \
     return done, markers, diag
 
 
-def load_completed(path: str, fingerprint: str) \
-        -> Tuple[Dict[int, Tuple[ScenarioReport, List[CorpusEntry]]], set]:
-    """`load_completed_ex` without the diagnostics (compat wrapper)."""
-    done, markers, _diag = load_completed_ex(path, fingerprint)
-    return done, markers
-
-
 class CheckpointWriter:
     """Appends one fingerprint-tagged durable line per completed shard.
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
-from ..checking.runner import Scenario
+from ..checking.runner import CORPUS_CAP, Scenario
 from ..core.spec_styles import SpecStyle, check_style
 from ..rmc.scheduler import FixedDecider
 from .durable import LineDiagnostics, append_line, canonical, read_records
@@ -47,12 +47,6 @@ from .merge import trace_from_json
 from .shard import Shard
 from .vfs import DurableWriteError
 from .registry import ScenarioSpec, build_scenario
-
-#: Default cap on corpus entries collected per run (a badly broken
-#: implementation can fail on *every* execution; the first entries are
-#: the serial-DFS-first counterexamples and carry all the signal).
-CORPUS_CAP = 100
-
 
 @dataclass
 class CorpusEntry:
@@ -211,7 +205,7 @@ def load_corpus(path: str) -> CorpusEntries:
     """Load a corpus, skipping (and quarantining) malformed lines.
 
     A torn final line, a blank-corrupt line, or a CRC mismatch no longer
-    raises — like `repro.engine.checkpoint.load_completed`, damaged
+    raises — like `repro.engine.checkpoint.load_completed_ex`, damaged
     lines are skipped, copied once to the ``.rejected`` sidecar, and
     counted in the returned list's ``diagnostics``.
     """

@@ -28,7 +28,7 @@ the spirit of ALICE/CrashMonkey: instead of *sampling* crash points, it
      surviving entry is one the full run actually produced;
    * **resumed report byte-equal** — re-running the campaign over the
      crash state's checkpoint merges to byte-for-byte the serial DPOR
-     report (`repro.engine.merge.report_to_json`, canonical JSON).
+     report (equal `repro.engine.audit.report_fingerprint`).
 
 ``python -m repro crashcheck`` runs the whole enumeration; exit codes:
 
@@ -53,6 +53,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.spec_styles import SpecStyle
 from . import vfs as vfs_mod
+from .audit import report_fingerprint
 from .checkpoint import CheckpointWriter, run_fingerprint
 from .corpus import entry_hash, load_corpus
 from .merge import report_to_json
@@ -82,8 +83,8 @@ def _params(workdir: str) -> EngineParams:
         styles=CRASHCHECK_STYLES, exhaustive=True, seed=0,
         max_steps=100_000, workers=1, target_shards=4,
         corpus_cap=CRASHCHECK_CORPUS_CAP,
-        checkpoint_path=os.path.join(workdir, "checkpoint.jsonl"),
-        corpus_path=os.path.join(workdir, "corpus.jsonl"))
+        checkpoint=os.path.join(workdir, "checkpoint.jsonl"),
+        corpus=os.path.join(workdir, "corpus.jsonl"))
 
 
 @dataclass
@@ -96,8 +97,8 @@ class WorkloadFacts:
     acked: Dict[str, int]
     #: Highest fencing token the full run ever granted, per job.
     final_floor: Dict[str, int]
-    #: Canonical JSON of the fault-free serial DPOR report.
-    serial_report: str
+    #: `report_fingerprint` of the fault-free serial DPOR report.
+    serial_fingerprint: str
     #: Content hashes of every corpus entry the full run produced.
     corpus_hashes: frozenset
 
@@ -177,7 +178,7 @@ def record_workload(workdir: str) -> WorkloadFacts:
         store = JobStore(os.path.join(workdir, "wal.jsonl"))
         job, _created = store.submit(
             name=scenario.name, spec_json=spec.to_json(),
-            params_json={"target_shards": params.target_shards},
+            params_json=params.wire_json(),
             dedupe_key="crashcheck")
         # The ack: the submit record is durable and the (imaginary)
         # client has seen the reply.  Everything after this mark must
@@ -189,7 +190,7 @@ def record_workload(workdir: str) -> WorkloadFacts:
         shards, planner_gaps = plan_shards_ex(scenario, params)
         fingerprint = run_fingerprint(scenario.name, spec,
                                       params.fingerprint_json(), shards)
-        writer = CheckpointWriter(params.checkpoint_path, fingerprint)
+        writer = CheckpointWriter(params.checkpoint, fingerprint)
         reporter = ProgressReporter(enabled=False,
                                     sink=WalSink(store, job.job_id))
         reporter.emit("planned", shards=len(shards),
@@ -220,28 +221,20 @@ def record_workload(workdir: str) -> WorkloadFacts:
                      summary={"executions": result.report.executions})
         trace.mark("finished")
 
-    serial = canonical_report(run_scenario(
+    serial = report_fingerprint(run_scenario(
         build_scenario(spec),
         EngineParams(styles=CRASHCHECK_STYLES, exhaustive=True, seed=0,
                      max_steps=100_000, workers=1, target_shards=1)
     ).report)
-    merged = canonical_report(result.report)
-    if merged != serial:
+    if report_fingerprint(result.report) != serial:
         raise RuntimeError("crashcheck workload is broken: the sharded "
                            "campaign did not merge to the serial report")
     return WorkloadFacts(
         workdir=workdir, ops=list(trace.ops), acked=acked,
         final_floor={job.job_id: store.job(job.job_id).token_floor},
-        serial_report=serial,
+        serial_fingerprint=serial,
         corpus_hashes=frozenset(
             entry_hash(e.to_json()) for e in result.corpus_entries))
-
-
-def canonical_report(report) -> str:
-    """The byte form two reports are compared in (timing stripped)."""
-    data = report_to_json(report)
-    data.pop("seconds", None)
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 # ----------------------------------------------------------------------
@@ -390,7 +383,7 @@ def check_state(state: CrashState, facts: WorkloadFacts,
                                spec=CRASHCHECK_SPEC)
     except Exception as err:  # noqa: BLE001
         return violations + [f"{where}: resume raised {err!r}"]
-    if canonical_report(resumed.report) != facts.serial_report:
+    if report_fingerprint(resumed.report) != facts.serial_fingerprint:
         violations.append(f"{where}: resumed report is not byte-equal "
                           f"to the serial DPOR report")
     return violations

@@ -33,8 +33,8 @@ Failure handling is three nested safety nets:
    `finalize_run` degrades coverage instead.
 
 The serve loop sleeps until a result, a failure or a lost node wakes
-it, or ``DistParams.tick`` passes (lease expiry and the node wait are
-checked then).
+it, or `SERVE_TICK` passes (lease expiry and the node wait are checked
+then).
 """
 
 from __future__ import annotations
@@ -63,6 +63,10 @@ from .protocol import (MSG_BEAT, MSG_DONE, MSG_FAIL, MSG_GRANT, MSG_HELLO,
                        MSG_IDLE, MSG_REFUSE, MSG_RESULT, MSG_WANT,
                        MSG_WELCOME, PROTOCOL_VERSION, Channel)
 
+#: Longest sleep of the serve loop between wakes; lease expiry and the
+#: node wait are checked at least this often.
+SERVE_TICK = 0.2
+
 
 @dataclass
 class DistParams:
@@ -74,9 +78,6 @@ class DistParams:
     #: How long to keep waiting with zero connected nodes before
     #: degrading to a truncated-coverage result.
     node_wait_seconds: float = 30.0
-    #: Longest sleep of the serve loop between wakes; lease expiry and
-    #: the node wait are checked at least this often.
-    tick: float = 0.2
     #: How long an idle node waits before asking again for work.
     idle_wait: float = 0.25
 
@@ -136,9 +137,7 @@ class Coordinator:
         # duplicate dispatched under a fresh fencing token but outside
         # the lease table, so whichever copy submits second fails the
         # exact-(node, token) check and is fenced.
-        self._hedger = (DeadlineEstimator(factor=params.hedge_factor,
-                                          floor=params.hedge_floor,
-                                          seed=params.seed)
+        self._hedger = (DeadlineEstimator(seed=params.seed)
                         if params.hedge else None)
         self._lease_started: Dict[Tuple[int, int], float] = {}
         self._shadow: Dict[int, Tuple[int, str]] = {}
@@ -165,9 +164,9 @@ class Coordinator:
         self.results: Dict[int, Tuple[ScenarioReport,
                                       List[CorpusEntry]]] = {}
         self._markers: set = set()
-        if params.checkpoint_path:
+        if params.checkpoint:
             done, self._markers, diag = load_completed_ex(
-                params.checkpoint_path, self._fingerprint)
+                params.checkpoint, self._fingerprint)
             for _ in range(diag.corrupt):
                 self.reporter.emit("bad_line")
             for sid, (report, entries) in done.items():
@@ -178,9 +177,9 @@ class Coordinator:
                         "resumed", shard=sid, executions=report.executions,
                         steps=report.steps, pruned=report.pruned_subtrees)
         self._update_cut()
-        self._writer = (CheckpointWriter(params.checkpoint_path,
+        self._writer = (CheckpointWriter(params.checkpoint,
                                          self._fingerprint)
-                        if params.checkpoint_path else None)
+                        if params.checkpoint else None)
         self._lock = threading.Lock()
         self._nodes: Dict[str, Channel] = {}
         self._stop = threading.Event()
@@ -262,7 +261,7 @@ class Coordinator:
                     break  # degrade: merge what came back
                 if fleet is not None and not settled:
                     fleet.tend(expired, quarantined)
-                self._wake.wait(self.dist.tick)
+                self._wake.wait(SERVE_TICK)
                 self._wake.clear()
         finally:
             self._shutdown()
@@ -409,8 +408,7 @@ class Coordinator:
             if welcome:
                 ch.send(MSG_WELCOME, spec=self.spec.to_json(),
                         params=self.params.wire_json(),
-                        lease=self.dist.lease_seconds,
-                        heartbeat=self.params.heartbeat_interval)
+                        lease=self.dist.lease_seconds)
             while not self._stop.is_set():
                 msg = ch.recv(timeout=0.5)
                 if msg is not None and not self._stop.is_set():

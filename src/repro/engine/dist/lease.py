@@ -16,11 +16,10 @@ own nodes too), plus two twists:
 * **exclusion** — the node that failed a shard is remembered and not
   offered it again (a deterministic crasher should land on a different
   node).  Exclusion yields to liveness, never the other way round:
-  when *every* live node is excluded from a shard (or the caller asks
-  for a ``lenient`` grant), the shard goes back to an excluded node
-  and spends a retry rather than starving the run — a shard with no
-  grantable node and no budget left would otherwise stay PENDING
-  forever and wedge the coordinator;
+  when *every* live node is excluded from a shard, the shard goes
+  back to an excluded node and spends a retry rather than starving
+  the run — a shard with no grantable node and no budget left would
+  otherwise stay PENDING forever and wedge the coordinator;
 * **backoff** — a requeued shard only becomes eligible again after a
   jittered exponential delay (`repro.engine.retry`), so a fast
   grant/fail loop cannot spin the budget away in milliseconds.
@@ -115,10 +114,6 @@ class LeaseTable:
         return list(self._leases.values())
 
     @property
-    def done_ids(self) -> List[int]:
-        return sorted(s for s, st in self._status.items() if st == DONE)
-
-    @property
     def failed_ids(self) -> List[int]:
         return sorted(s for s, st in self._status.items() if st == FAILED)
 
@@ -170,7 +165,7 @@ class LeaseTable:
         self._next_token += 1
         return token
 
-    def grant(self, node_id: str, now: float, lenient: bool = False,
+    def grant(self, node_id: str, now: float,
               live_nodes: Optional[Set[str]] = None) -> Optional[Lease]:
         """Lease the first eligible pending shard to ``node_id``.
 
@@ -178,8 +173,7 @@ class LeaseTable:
         earlier grant reply was lost) gets the *same* lease back,
         renewed — never a second shard it would silently abandon.
 
-        Exclusion is advisory, not absolute: ``lenient`` lets the node
-        take any shard that excluded it, and a shard whose exclusion
+        Exclusion is advisory, not absolute: a shard whose exclusion
         set covers all of ``live_nodes`` is granted back to an
         excluded node anyway — otherwise a shard that failed once on
         every connected node would starve PENDING forever while the
@@ -196,9 +190,8 @@ class LeaseTable:
                     or self._eligible_at[sid] > now:
                 continue
             if node_id in self._excluded[sid]:
-                if fallback is None and (
-                        lenient or (live_nodes is not None
-                                    and live_nodes <= self._excluded[sid])):
+                if fallback is None and live_nodes is not None \
+                        and live_nodes <= self._excluded[sid]:
                     fallback = sid
                 continue
             pick = sid

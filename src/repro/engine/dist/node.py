@@ -38,12 +38,18 @@ from typing import Callable, Optional
 
 from ..pool import EngineParams, _explore_shard, encode_result
 from ..registry import ScenarioSpec, build_scenario
-from ..retry import RetryPolicy
+from ..retry import RECONNECT_POLICY
 from ..shard import Shard
 from .handshake import REFUSED_EXIT, engine_fingerprint
 from .protocol import (MSG_BEAT, MSG_DONE, MSG_FAIL, MSG_GRANT, MSG_HELLO,
                        MSG_IDLE, MSG_REFUSE, MSG_RESULT, MSG_WANT,
                        MSG_WELCOME, PROTOCOL_VERSION, Channel)
+
+
+#: Seconds between a node's beats while it explores; every lease in use
+#: (`DistParams.lease_seconds`, `EngineParams.shard_timeout`) spans
+#: several of them.
+BEAT_INTERVAL = 0.25
 
 
 class Refused(Exception):
@@ -54,17 +60,16 @@ class NetBeat:
     """Heartbeat duck-type streaming beats upstream over the channel."""
 
     def __init__(self, channel: Channel, node_id: str, shard_id: int,
-                 token: int, interval: float):
+                 token: int):
         self._channel = channel
         self._node_id = node_id
         self._shard_id = shard_id
         self._token = token
-        self._interval = interval
         self._last = 0.0
 
     def beat(self, shard: int, execs: int, force: bool = False) -> None:
         now = time.monotonic()
-        if not force and now - self._last < self._interval:
+        if not force and now - self._last < BEAT_INTERVAL:
             return
         self._last = now
         self._channel.send(MSG_BEAT, node=self._node_id,
@@ -134,7 +139,7 @@ def _work(ch: Channel, node_id: str, scenario, spec, params: EngineParams,
         shard = Shard.from_json(msg["shard"])
         emit(f"[node {node_id}] shard {sid} leased "
              f"(token {token}, attempt {attempt})")
-        beat = NetBeat(ch, node_id, sid, token, params.heartbeat_interval)
+        beat = NetBeat(ch, node_id, sid, token)
         try:
             report, entries = _explore_shard(scenario, spec, shard,
                                              params, shard_id=sid,
@@ -174,8 +179,7 @@ def serve_local(sock: socket.socket, node_id: str, scenario,
 
 
 def run_node(host: str, port: int, node_id: Optional[str] = None,
-             max_reconnects: int = 8, reconnect_base: float = 0.2,
-             emit: Callable = print) -> int:
+             max_reconnects: int = 8, emit: Callable = print) -> int:
     """Work for ``host:port`` until the coordinator says ``done``.
 
     Reconnects with jittered exponential backoff on any connection
@@ -186,12 +190,9 @@ def run_node(host: str, port: int, node_id: Optional[str] = None,
     a refused build stays refused.
     """
     node_id = node_id or _default_node_id()
-    # The same reconnect discipline the service client uses
-    # (`repro.engine.retry.RECONNECT_POLICY` shape), parameterized by
-    # this node's CLI knobs; attempts is a budget of *consecutive*
-    # failures, reset on every successful connection.
-    policy = RetryPolicy(attempts=max_reconnects + 1,
-                         base=reconnect_base, cap=5.0)
+    # ``max_reconnects`` is a budget of *consecutive* failures, reset on
+    # every successful connection; the delays between them follow the
+    # shared reconnect discipline.
     failures = 0
     while True:
         try:
@@ -202,7 +203,7 @@ def run_node(host: str, port: int, node_id: Optional[str] = None,
                 emit(f"[node {node_id}] giving up after "
                      f"{failures - 1} reconnect attempts")
                 return 1
-            policy.sleep(failures, key=f"node-{node_id}")
+            RECONNECT_POLICY.sleep(failures, key=f"node-{node_id}")
             continue
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(None)
@@ -224,6 +225,6 @@ def run_node(host: str, port: int, node_id: Optional[str] = None,
                  f"reconnect {failures}/{max_reconnects}")
             if failures > max_reconnects:
                 return 1
-            policy.sleep(failures, key=f"node-{node_id}")
+            RECONNECT_POLICY.sleep(failures, key=f"node-{node_id}")
         finally:
             ch.close()

@@ -4,8 +4,9 @@ The resilience machinery (leases, budgets, durable logs) is verified
 the same way the repo verifies memory-model executions — by *replaying a
 decision deterministically*.  A :class:`FaultPlan` is a seeded, explicit
 list of faults bound to named **sites**; instrumented code calls
-:func:`fault_point` / :func:`mutate_blob` / :func:`torn_text` at those
-sites, and a fault fires exactly when its coordinates match:
+:func:`fault_point` / :func:`mutate_blob` at those sites (durable
+writes consult :func:`io_fault_actions` through `repro.engine.vfs`),
+and a fault fires exactly when its coordinates match:
 
 ====================  =====================================================
 site                  instrumented where
@@ -374,12 +375,3 @@ def io_fault_actions(site: str) -> list:
         _FIRED.add(key)
         actions.append(fault)
     return actions
-
-
-def torn_text(site: str, text: str) -> str:
-    """Halve ``text`` (a JSONL line) if a ``torn`` fault matches — the
-    on-disk shape of a write cut off mid-crash.  The newline is kept so
-    only this one record is damaged under later appends."""
-    for _plan, _fault in _iter_matching(site, ("torn",), None, None, None):
-        return text[:max(len(text) // 2, 1)].rstrip("\n") + "\n"
-    return text

@@ -49,17 +49,11 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..service.store import WAL_KINDS
 from . import vfs as vfs_mod
 from .corpus import CorpusEntry
 from .durable import (REJECTED_SUFFIX, CorruptLine, _quarantine,
                       decode_line, encode_line)
-
-#: WAL record kinds `repro.service.store` writes.  Keep this in sync
-#: with `JobStore._apply`: a kind missing here makes ``--repair``
-#: quarantine *valid* records, so a healthy tree is no longer a no-op —
-#: the audit layer's ``divergence`` records were eaten exactly that way.
-WAL_KINDS = ("submit", "running", "grant", "merge", "divergence", "done",
-             "failed", "cancel")
 
 #: Files fsck treats as whole-file JSON summaries.
 SUMMARY_NAMES = ("report.json", "service.json")

@@ -1,9 +1,8 @@
 """Merging and (de)serialization of per-shard partial reports.
 
 The merge *operations* live on the report types themselves
-(`ExplorationStats.merge`, `StyleTally.merge`,
-`ScenarioReport.merge` — all also support ``+``); this module supplies
-the engine-side plumbing around them:
+(`StyleTally.merge`, `ScenarioReport.merge` — both also support ``+``);
+this module supplies the engine-side plumbing around them:
 
 * :func:`merge_reports` — fold per-shard partials **in shard order**,
   which is what makes capped example lists deterministic: the serial
@@ -21,7 +20,6 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from ..checking.runner import ScenarioReport, StyleTally
 from ..core.spec_styles import SpecStyle
-from ..rmc.explore import ExplorationStats
 
 
 def merge_reports(scenario_name: str,
@@ -107,31 +105,3 @@ def report_from_json(data: Dict[str, Any]) -> ScenarioReport:
     report.styles = {SpecStyle[name]: tally_from_json(t)
                      for name, t in data["styles"].items()}
     return report
-
-
-def stats_to_json(stats: ExplorationStats) -> Dict[str, Any]:
-    """`ExplorationStats` in the same wire idiom as the reports."""
-    return {
-        "executions": stats.executions,
-        "complete": stats.complete,
-        "truncated": stats.truncated,
-        "raced": stats.raced,
-        "steps": stats.steps,
-        "exhausted": stats.exhausted,
-        "race_traces": [_trace_to_json(t) for t in stats.race_traces],
-        "race_traces_dropped": stats.race_traces_dropped,
-        "pruned_subtrees": stats.pruned_subtrees,
-    }
-
-
-def stats_from_json(data: Dict[str, Any]) -> ExplorationStats:
-    return ExplorationStats(
-        executions=data["executions"],
-        complete=data["complete"],
-        truncated=data["truncated"],
-        raced=data["raced"],
-        steps=data["steps"],
-        exhausted=data["exhausted"],
-        race_traces=[trace_from_json(t) for t in data["race_traces"]],
-        race_traces_dropped=data.get("race_traces_dropped", 0),
-        pruned_subtrees=data.get("pruned_subtrees", 0))

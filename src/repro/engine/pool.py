@@ -48,14 +48,12 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..checking.runner import (Scenario, ScenarioReport, StyleTally,
-                               record_result)
-from ..core.spec_styles import SpecStyle
+from ..checking.runner import (EngineParams, Scenario, ScenarioReport,
+                               StyleTally, record_result)
 from .audit import AUDIT_ATTEMPT_BASE
 from .budget import BudgetSpec, BudgetTracker, Coverage
 from .checkpoint import CheckpointWriter
-from .corpus import (CORPUS_CAP, CorpusEntry, CorpusSink, append_entries,
-                     entry_hash)
+from .corpus import CorpusEntry, CorpusSink, append_entries, entry_hash
 from .faults import (fault_point, flip_result_digit, injected_delay,
                      mutate_blob)
 from .merge import merge_reports, report_from_json, report_to_json
@@ -66,136 +64,8 @@ from .shard import (SHARDS_PER_WORKER, Shard, iter_shard,
                     plan_random_shards)
 from .telemetry import Event, ProgressReporter, TelemetrySummary
 
-#: Seconds a local node may hold a lease without a beat before it is
-#: declared hung, SIGKILLed and replaced.  A real default, so a lone
-#: hung node cannot stall a run forever.  Exploration loops beat
-#: *between* executions, so keep this comfortably above the longest
-#: single execution (``max_steps`` bounds it).
-DEFAULT_SHARD_TIMEOUT = 300.0
-
 #: How long an idle local node waits before asking again for work.
 LOCAL_IDLE_WAIT = 0.05
-
-
-@dataclass
-class EngineParams:
-    """Everything that shapes one engine run."""
-
-    styles: Tuple[SpecStyle, ...] = (SpecStyle.LAT_HB,)
-    exhaustive: bool = False
-    runs: int = 300
-    seed: int = 0
-    max_steps: int = 20_000
-    #: Execution cap for the whole run, however it is sharded: the merge
-    #: keeps the first ``max_executions`` executions in shard order
-    #: (`execution_cut`), exactly the ones a serial run checks.
-    max_executions: int = 100_000
-    workers: int = 1
-    #: Shard-count target (None = SHARDS_PER_WORKER per worker).
-    target_shards: Optional[int] = None
-    checkpoint_path: Optional[str] = None
-    corpus_path: Optional[str] = None
-    corpus_cap: int = CORPUS_CAP
-    progress: bool = False
-    max_retries: int = 2
-    #: ``multiprocessing`` start method for local nodes (None = fork
-    #: when available, else spawn).  ``spawn`` requires a registry spec.
-    start_method: Optional[str] = None
-    #: A local node's lease: seconds without a beat before the node is
-    #: declared hung, killed and replaced, and its shard requeued
-    #: (None = wait forever).
-    shard_timeout: Optional[float] = DEFAULT_SHARD_TIMEOUT
-    #: Seconds between a node's in-band beats (each renews its lease).
-    heartbeat_interval: float = 0.25
-    #: Wall-clock budget per shard; a breaching shard stops cleanly and
-    #: returns a partial report flagged ``budget_exhausted``.
-    shard_seconds: Optional[float] = None
-    #: Wall-clock budget for the whole run; on breach remaining shards
-    #: are skipped and the merged report carries coverage accounting.
-    run_seconds: Optional[float] = None
-    #: Peak-RSS ceiling per worker process, in MiB.
-    max_rss_mb: Optional[float] = None
-    #: Sleep-set partial-order reduction (`repro.rmc.dpor`).  None
-    #: resolves to "on in exhaustive mode"; randomized mode ignores it.
-    dpor: Optional[bool] = None
-    #: Memory model id (`repro.models`): the semantics every execution
-    #: of this run is interpreted under.  Part of the fingerprint —
-    #: outcome sets differ across models, so checkpoints and corpus
-    #: records must never mix models.
-    model: str = "orc11"
-    #: Hedged execution (`repro.engine.hedge`): once a shard runs past
-    #: ``quantile(observed durations) × factor`` (never below
-    #: ``hedge_floor`` seconds), dispatch a speculative duplicate; the
-    #: first structurally-valid result wins.  Deliberately *not* part of
-    #: the fingerprint: hedging changes who delivers a result, never
-    #: what it contains.
-    hedge: bool = False
-    hedge_factor: float = 3.0
-    hedge_floor: float = 0.5
-    #: Fraction of completed shards re-executed by the trusted driver
-    #: process and fingerprint-compared (`repro.engine.audit`); 0 = off.
-    #: Also excluded from the fingerprint for the same reason.
-    audit_fraction: float = 0.0
-
-    def dpor_on(self) -> bool:
-        """The resolved DPOR switch: defaults to on for exhaustive mode."""
-        return self.exhaustive and self.dpor is not False
-
-    def fingerprint_json(self) -> Dict:
-        """The parameters that determine exploration results.
-
-        Budgets, timeouts, and heartbeat cadence are deliberately
-        excluded: they shape *how far* a run gets, not what any
-        completed shard contains, so checkpoints stay resumable across
-        different budget settings.
-        """
-        return {
-            "styles": [s.name for s in self.styles],
-            "exhaustive": self.exhaustive,
-            "runs": self.runs,
-            "seed": self.seed,
-            "max_steps": self.max_steps,
-            "max_executions": self.max_executions,
-            "dpor": self.dpor_on(),
-            "model": self.model,
-        }
-
-    def budget_spec(self, deadline: Optional[float]) -> BudgetSpec:
-        return BudgetSpec(shard_seconds=self.shard_seconds,
-                          run_deadline=deadline,
-                          max_rss_mb=self.max_rss_mb)
-
-    def wire_json(self) -> Dict:
-        """The fields a remote worker node needs to explore a shard.
-
-        A superset of `fingerprint_json` (everything result-determining)
-        plus the knobs that shape a node's local loop; budgets and
-        watchdog windows stay coordinator-side.
-        """
-        data = self.fingerprint_json()
-        data["corpus_cap"] = self.corpus_cap
-        data["heartbeat_interval"] = self.heartbeat_interval
-        data["hedge"] = self.hedge
-        data["hedge_factor"] = self.hedge_factor
-        data["hedge_floor"] = self.hedge_floor
-        data["audit_fraction"] = self.audit_fraction
-        return data
-
-    @staticmethod
-    def from_wire(data: Dict) -> "EngineParams":
-        """Rebuild node-side params from `wire_json` output."""
-        return EngineParams(
-            styles=tuple(SpecStyle[name] for name in data["styles"]),
-            exhaustive=data["exhaustive"], runs=data["runs"],
-            seed=data["seed"], max_steps=data["max_steps"],
-            max_executions=data["max_executions"], dpor=data["dpor"],
-            model=data.get("model", "orc11"),
-            corpus_cap=data.get("corpus_cap", CORPUS_CAP),
-            heartbeat_interval=data.get("heartbeat_interval", 0.25),
-            hedge=data.get("hedge", False),
-            hedge_factor=data.get("hedge_factor", 3.0),
-            hedge_floor=data.get("hedge_floor", 0.5),
-            audit_fraction=data.get("audit_fraction", 0.0))
 
 
 @dataclass
@@ -235,7 +105,9 @@ def _explore_shard(scenario: Scenario, spec: Optional[ScenarioSpec],
     report.styles = {s: StyleTally() for s in params.styles}
     sink = CorpusSink(scenario.name, spec, params.max_steps,
                       cap=params.corpus_cap, model=params.model)
-    budget = BudgetTracker(params.budget_spec(deadline))
+    budget = BudgetTracker(BudgetSpec(shard_seconds=params.shard_seconds,
+                                      run_deadline=deadline,
+                                      max_rss_mb=params.max_rss_mb))
     if beat is not None:
         beat.beat(shard_id, 0, force=True)
     # The straggler site: an injected delay that keeps beating — a slow
@@ -319,9 +191,9 @@ def plan_shards_ex(scenario: Scenario,
         target = max(1, params.target_shards)
     else:
         target = max(1, params.workers) * SHARDS_PER_WORKER
-        if params.workers <= 1 and params.checkpoint_path is None:
+        if params.workers <= 1 and params.checkpoint is None:
             target = 1  # no pool, no resume: skip planning probes
-        elif params.checkpoint_path is not None:
+        elif params.checkpoint is not None:
             target = max(target, 2 * SHARDS_PER_WORKER)
     if params.exhaustive:
         if target == 1:
@@ -446,13 +318,13 @@ def finalize_run(scenario: Scenario, spec: Optional[ScenarioSpec],
             seen_hashes.add(key)
             entries.append(witness)
     flush_errors: List[str] = []
-    if params.corpus_path:
+    if params.corpus:
         # Content-hash dedupe makes the flush idempotent, so a crash
         # between the append and the marker cannot duplicate entries —
         # and a torn corpus line is healed by the next resume.  A flush
         # hitting a full/failing disk degrades coverage below instead
         # of losing the in-memory result.
-        append_entries(params.corpus_path, entries, errors=flush_errors)
+        append_entries(params.corpus, entries, errors=flush_errors)
         if writer is not None and "corpus_flushed" not in markers:
             writer.write_marker("corpus_flushed")
     durable_errors: List[str] = flush_errors + \
@@ -584,10 +456,8 @@ def _run_pool(coord) -> EngineResult:
     params = coord.params
     pending = 0 if coord.table.settled \
         else len(coord.shards) - len(coord.results)
-    method = params.start_method
-    if method is None:
-        method = "fork" if "fork" in multiprocessing.get_all_start_methods() \
-            else "spawn"
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() \
+        else "spawn"
     count = min(params.workers, pending)
     if count <= 1 or (method != "fork" and coord.spec is None):
         method, count = None, min(1, pending)

@@ -40,6 +40,9 @@ SHARDS_PER_WORKER = 4
 #: Ceiling on planning probes (each probe is one replayed execution).
 PROBE_CAP = 512
 
+#: Prefixes at least this long are not split further.
+MAX_SPLIT_DEPTH = 12
+
 
 @dataclass(frozen=True)
 class Shard:
@@ -89,8 +92,6 @@ def plan_exhaustive_shards(
     factory: ProgramFactory,
     target: int,
     max_steps: int,
-    max_split_depth: int = 12,
-    probe_cap: int = PROBE_CAP,
     model=None,
 ) -> List[Shard]:
     """Split the decision tree into >= ``target`` disjoint subtrees
@@ -104,9 +105,9 @@ def plan_exhaustive_shards(
     done: List[Tuple[int, ...]] = []  # single-execution subtrees
     probes = 0
     while frontier and len(frontier) + len(done) < target \
-            and probes < probe_cap:
+            and probes < PROBE_CAP:
         prefix = frontier.pop(0)  # shallowest first
-        if len(prefix) >= max_split_depth:
+        if len(prefix) >= MAX_SPLIT_DEPTH:
             done.append(prefix)
             continue
         decider = PrefixDecider(prefix)
@@ -130,8 +131,6 @@ def plan_exhaustive_shards_dpor(
     factory: ProgramFactory,
     target: int,
     max_steps: int,
-    max_split_depth: int = 12,
-    probe_cap: int = PROBE_CAP,
     model=None,
     gaps: Optional[List[int]] = None,
 ) -> Tuple[List[Shard], int]:
@@ -168,9 +167,9 @@ def plan_exhaustive_shards_dpor(
     pruned: List[Tuple[int, ...]] = []
     probes = 0
     while frontier and len(frontier) + len(done) < target \
-            and probes < probe_cap:
+            and probes < PROBE_CAP:
         prefix, sleep = frontier.pop(0)  # shallowest first
-        if len(prefix) >= max_split_depth:
+        if len(prefix) >= MAX_SPLIT_DEPTH:
             done.append((prefix, sleep))
             continue
         decider = SleepSetDecider(prefix, pin=len(prefix),

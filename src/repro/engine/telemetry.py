@@ -134,12 +134,6 @@ class TelemetrySummary:
     worker_executions: Dict[int, int] = field(default_factory=dict)
 
     @property
-    def executions_per_sec(self) -> float:
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.executions / self.wall_seconds
-
-    @property
     def effective_tree_size(self) -> int:
         """Executions the naive enumeration would have visited at the
         explored frontier: actual executions plus DPOR-pruned branches."""

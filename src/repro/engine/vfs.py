@@ -106,8 +106,7 @@ class OsVFS:
                     else max(len(data) // 2, 1)
                 cut = max(min(cut, len(data)), 1)
                 # Keep the newline so only this one record is damaged
-                # under later appends (same contract as the old
-                # line-level torn_text shim).
+                # under later appends.
                 data = data[:cut].rstrip(b"\n") + b"\n"
             elif fault.kind == "fsync_drop":
                 skip_fsync = True
@@ -316,10 +315,6 @@ class install:
 
 
 # Convenience wrappers so call sites read as one-liners.
-
-def append_blob(path: str, data: bytes, site: str) -> None:
-    get_vfs().append_blob(path, data, site)
-
 
 def atomic_write_bytes(path: str, data: bytes,
                        site: str = "atomic.write") -> None:

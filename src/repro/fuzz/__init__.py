@@ -8,7 +8,7 @@ generator (the ROADMAP's "as many scenarios as you can imagine"):
   signature, access-mode profiles, cross-library compositions;
 * executor (`repro.fuzz.executor`): compiles a generated program into a
   registered, replayable `repro.checking.runner.Scenario`
-  (``fuzz-case`` / ``fuzz-gen`` builders);
+  (the ``fuzz-case`` builder);
 * shrink (`repro.fuzz.shrink`): deterministic minimization of any
   violation to a smallest failing program, re-verified to still fail;
 * campaign (`repro.fuzz.campaign`): the budgeted fuzz loop behind
@@ -19,25 +19,22 @@ See ``docs/fuzzing.md``.
 """
 
 from .campaign import (CampaignReport, CaseOutcome, FuzzParams,
-                       activate_fuzz_seed, case_explore_seed, run_campaign,
-                       run_case)
-from .executor import (build_factory, fuzz_case_scenario, fuzz_gen_scenario,
-                       make_extractor, make_outcome_check, program_styles,
-                       scenario_for)
-from .grammar import (FUZZ_SEED_ENV, FuzzProgram, GrammarConfig, LibInstance,
-                      LibSig, OpSig, SIGNATURES, derive_rng,
-                      generate_program)
+                       case_explore_seed, run_campaign, run_case)
+from .executor import (build_factory, fuzz_case_scenario, make_extractor,
+                       make_outcome_check, program_styles, scenario_for)
+from .grammar import (FuzzProgram, GrammarConfig, LibInstance, LibSig, OpSig,
+                      SIGNATURES, derive_rng, generate_program)
 from .shrink import (Failure, ShrinkStats, exploration_oracle, failure_of,
                      shrink)
 
 __all__ = [
-    "FUZZ_SEED_ENV", "SIGNATURES",
+    "SIGNATURES",
     "FuzzProgram", "GrammarConfig", "LibInstance", "LibSig", "OpSig",
     "derive_rng", "generate_program",
     "build_factory", "scenario_for", "program_styles",
     "make_extractor", "make_outcome_check",
-    "fuzz_case_scenario", "fuzz_gen_scenario",
+    "fuzz_case_scenario",
     "Failure", "ShrinkStats", "exploration_oracle", "failure_of", "shrink",
     "FuzzParams", "CampaignReport", "CaseOutcome",
-    "activate_fuzz_seed", "case_explore_seed", "run_campaign", "run_case",
+    "case_explore_seed", "run_campaign", "run_case",
 ]

@@ -10,11 +10,10 @@ it in the counterexample corpus as a ``fuzz-case`` entry, replayable by
 Determinism is the design center, matching the rest of the engine:
 
 * case ``index`` under master seed ``S`` is the same program in every
-  process (`repro.fuzz.grammar.derive_rng`);
-* the master seed crosses process boundaries via the
-  ``REPRO_FUZZ_SEED`` environment variable (fork *and* spawn), the way
-  `repro.engine.faults` carries fault plans, so ``--workers N`` changes
-  wall-clock time but not one byte of the result;
+  process (`repro.fuzz.grammar.derive_rng`), and every worker gets the
+  campaign's `FuzzParams` (master seed included) from the pool
+  initializer, so ``--workers N`` changes wall-clock time but not one
+  byte of the result;
 * cases are *consumed* in index order regardless of completion order,
   and the execution budget is charged in that order, so the set of
   counted cases — and hence the violations, the shrunk programs, and
@@ -28,7 +27,6 @@ non-deterministic stop condition; a campaign cut short by it is flagged
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -38,25 +36,10 @@ from ..engine.corpus import CORPUS_CAP, CorpusEntry, append_entries
 from ..engine.registry import ScenarioSpec
 from ..rmc.explore import explore_all_dpor, explore_random
 from .executor import scenario_for
-from .grammar import (FUZZ_SEED_ENV, FuzzProgram, GrammarConfig, SIGNATURES,
-                      derive_rng, generate_program)
+from .grammar import (FuzzProgram, GrammarConfig, SIGNATURES, derive_rng,
+                      generate_program)
 from .shrink import (Failure, ShrinkStats, exploration_oracle, failure_of,
                      shrink)
-
-
-def activate_fuzz_seed(seed: int) -> Optional[str]:
-    """Install the campaign master seed for this process and every
-    child it starts; returns the previous value for restoration."""
-    prev = os.environ.get(FUZZ_SEED_ENV)
-    os.environ[FUZZ_SEED_ENV] = str(seed)
-    return prev
-
-
-def restore_fuzz_seed(prev: Optional[str]) -> None:
-    if prev is None:
-        os.environ.pop(FUZZ_SEED_ENV, None)
-    else:
-        os.environ[FUZZ_SEED_ENV] = prev
 
 
 def case_explore_seed(seed: int, index: int) -> int:
@@ -277,7 +260,6 @@ def run_campaign(params: FuzzParams,
     report = CampaignReport(seed=params.seed, budget=params.budget)
     start = time.monotonic()
     deadline = start + params.seconds if params.seconds else None
-    prev_seed = activate_fuzz_seed(params.seed)
     pool = None
     try:
         workers = max(1, params.workers)
@@ -316,7 +298,6 @@ def run_campaign(params: FuzzParams,
     finally:
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
-        restore_fuzz_seed(prev_seed)
 
     if params.corpus_path and report.entries:
         report.corpus_written = append_entries(

@@ -3,20 +3,14 @@
 The executor is the bridge between the grammar and everything the
 engine already knows how to do: a generated program becomes a
 `repro.checking.runner.Scenario` (program factory + graph extractors +
-outcome obligations) and is registered under two builder names so fuzz
-cases are replayable like any hand-written scenario:
-
-* ``fuzz-case`` — rebuilds a scenario from an explicit program JSON
-  (the form shrunk counterexamples take in the corpus);
-* ``fuzz-gen`` — regenerates case ``index`` of a seeded campaign; when
-  ``seed`` is omitted it is resolved from the ``REPRO_FUZZ_SEED``
-  environment variable, which survives both ``fork`` and ``spawn``
-  workers the way `repro.engine.faults` carries fault plans.
+outcome obligations) and is registered under the builder name
+``fuzz-case``, which rebuilds a scenario from an explicit program JSON
+(the form shrunk counterexamples take in the corpus), so fuzz cases are
+replayable like any hand-written scenario.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..checking.runner import GraphCase, Scenario
@@ -30,8 +24,7 @@ from ..rmc.machine import ExecutionResult
 from ..rmc.modes import NA
 from ..rmc.ops import Load, Store
 from ..rmc.program import Program
-from .grammar import (FUZZ_SEED_ENV, FuzzProgram, GrammarConfig, LibInstance,
-                      SIGNATURES, generate_program)
+from .grammar import FuzzProgram, LibInstance, SIGNATURES
 
 _PROFILES = {"rel-acq": RELACQ, "sc": SEQCST, "broken-rlx": BROKEN_RLX}
 
@@ -219,25 +212,3 @@ def fuzz_case_scenario(program: Dict) -> Scenario:
     fp = FuzzProgram.from_json(program)
     fp.validate()
     return scenario_for(fp)
-
-
-@register_scenario("fuzz-gen")
-def fuzz_gen_scenario(index: int, seed: Optional[int] = None,
-                      config: Optional[Dict] = None) -> Scenario:
-    """Regenerate case ``index`` of a seeded campaign.
-
-    ``seed=None`` resolves the campaign master seed from the
-    ``REPRO_FUZZ_SEED`` environment variable (set by
-    `repro.fuzz.campaign.activate_fuzz_seed`), so spawn/fork workers
-    and later replays rebuild the identical program from the index
-    alone.
-    """
-    if seed is None:
-        raw = os.environ.get(FUZZ_SEED_ENV)
-        if raw is None:
-            raise KeyError(
-                "fuzz-gen needs an explicit seed or the "
-                f"{FUZZ_SEED_ENV} environment variable")
-        seed = int(raw)
-    cfg = GrammarConfig.from_json(config) if config else GrammarConfig()
-    return scenario_for(generate_program(seed, index, cfg))

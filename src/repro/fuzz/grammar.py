@@ -32,13 +32,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.spec_styles import SpecStyle
 
-#: Environment variable carrying the campaign master seed across
-#: process boundaries (fork *and* spawn), mirroring
-#: `repro.engine.faults.FAULT_PLAN_ENV`: workers that rebuild a
-#: generated case from ``(index)`` alone resolve the seed from here.
-FUZZ_SEED_ENV = "REPRO_FUZZ_SEED"
-
-
 @dataclass(frozen=True)
 class OpSig:
     """One operation a library signature offers to generated clients.

@@ -16,7 +16,7 @@ scales the same checks to larger scenarios.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterator, List, Sequence
 
 from .dpor import DporStats, explore_all_dpor
 from .machine import ExecutionResult
@@ -61,36 +61,6 @@ class ExplorationStats:
             self.truncated += 1
         else:
             self.complete += 1
-
-    def merge(self, other: "ExplorationStats") -> "ExplorationStats":
-        """Fold ``other`` (a later shard, in serial order) into ``self``.
-
-        Capped lists keep the earliest entries, so merging per-shard
-        partials in shard order reproduces the serial run's stats exactly.
-        """
-        self.executions += other.executions
-        self.complete += other.complete
-        self.truncated += other.truncated
-        self.raced += other.raced
-        self.steps += other.steps
-        self.exhausted = self.exhausted and other.exhausted
-        room = RACE_TRACE_CAP - len(self.race_traces)
-        taken = max(0, min(room, len(other.race_traces)))
-        if taken:
-            self.race_traces.extend(other.race_traces[:taken])
-        self.race_traces_dropped += (other.race_traces_dropped
-                                     + len(other.race_traces) - taken)
-        self.pruned_subtrees += other.pruned_subtrees
-        return self
-
-    def __add__(self, other: "ExplorationStats") -> "ExplorationStats":
-        out = ExplorationStats(
-            executions=self.executions, complete=self.complete,
-            truncated=self.truncated, raced=self.raced, steps=self.steps,
-            exhausted=self.exhausted, race_traces=list(self.race_traces),
-            race_traces_dropped=self.race_traces_dropped,
-            pruned_subtrees=self.pruned_subtrees)
-        return out.merge(other)
 
 
 def explore_all(
@@ -158,7 +128,7 @@ def check_all(
     seed: int = 0,
     max_steps: int = 2_000,
     max_executions: int = 200_000,
-    dpor: Optional[bool] = None,
+    dpor: bool = True,
     model=None,
 ) -> ExplorationStats:
     """Explore and apply ``check`` to every non-raced complete execution.
@@ -174,14 +144,13 @@ def check_all(
     """
     stats = ExplorationStats()
     dstats = DporStats()
-    if exhaustive:
-        if dpor is not False:
-            source = explore_all_dpor(factory, max_steps=max_steps,
-                                      max_executions=max_executions,
-                                      stats=dstats, model=model)
-        else:
-            source = explore_all(factory, max_steps=max_steps,
-                                 max_executions=max_executions, model=model)
+    if exhaustive and dpor:
+        source = explore_all_dpor(factory, max_steps=max_steps,
+                                  max_executions=max_executions,
+                                  stats=dstats, model=model)
+    elif exhaustive:
+        source = explore_all(factory, max_steps=max_steps,
+                             max_executions=max_executions, model=model)
     else:
         source = explore_random(factory, runs=runs, seed=seed,
                                 max_steps=max_steps, model=model)

@@ -135,21 +135,15 @@ class ServiceClient:
         """Send one request; retry on connection loss and retryable
         rejections; raise `ServiceError` on a final failure."""
         timeout = self.timeout if timeout is None else timeout
-        last: Optional[Exception] = None
-        for attempt in range(1, self.policy.attempts + 1):
-            try:
-                return self._once(verb, timeout, fields)
-            except (RetryableServiceError, ConnectionError,
-                    TimeoutError, OSError) as err:
-                last = err
-                if attempt >= self.policy.attempts:
-                    break
-                self.policy.sleep(attempt, key=f"api-{verb}",
-                                  sleeper=self._sleeper)
-        if isinstance(last, ServiceError):
-            raise last
-        raise ServiceError(f"{verb}: service unreachable at "
-                           f"{self.host}:{self.port} ({last})")
+        try:
+            return self.policy.call(
+                lambda: self._once(verb, timeout, fields),
+                key=f"api-{verb}",
+                retry_on=(RetryableServiceError, OSError),
+                sleeper=self._sleeper)
+        except OSError as err:
+            raise ServiceError(f"{verb}: service unreachable at "
+                               f"{self.host}:{self.port} ({err})") from err
 
     def _once(self, verb: str, timeout: float, fields: Dict) -> Dict:
         sock = socket.create_connection((self.host, self.port),

@@ -55,6 +55,9 @@ DISCOVERY_FILE = "service.json"
 #: Exit code of a SIGINT fast-stop.
 FAST_STOP_EXIT = 130
 
+#: Seconds the idle serve loop sleeps before looking for work again.
+POLL_INTERVAL = 0.2
+
 
 @dataclass
 class ServiceConfig:
@@ -69,10 +72,8 @@ class ServiceConfig:
     local_nodes: int = 2
     lease_seconds: float = 10.0
     node_wait_seconds: float = 30.0
-    poll_interval: float = 0.2
     #: Crash-loop guard window; 0 disables the startup backoff.
     crash_loop_window: float = 60.0
-    target_shards: int = 4
     max_retries: int = 2
     progress: bool = False
 
@@ -210,7 +211,7 @@ class CampaignDaemon:
                 if self._draining.is_set():
                     break
                 if job is None:
-                    time.sleep(self.config.poll_interval)
+                    time.sleep(POLL_INTERVAL)
                     continue
                 self._run_job(job)
         finally:
@@ -266,12 +267,10 @@ class CampaignDaemon:
         os.makedirs(job_dir, exist_ok=True)
         spec = ScenarioSpec.from_json(job.spec_json)
         params = EngineParams.from_wire(job.params_json)
-        params.target_shards = int(job.params_json.get(
-            "target_shards", self.config.target_shards))
         params.max_retries = self.config.max_retries
         params.progress = self.config.progress
-        params.checkpoint_path = os.path.join(job_dir, "checkpoint.jsonl")
-        params.corpus_path = os.path.join(job_dir, "corpus.jsonl")
+        params.checkpoint = os.path.join(job_dir, "checkpoint.jsonl")
+        params.corpus = os.path.join(job_dir, "corpus.jsonl")
         dist = DistParams(host=self.config.host,
                           lease_seconds=self.config.lease_seconds,
                           node_wait_seconds=self.config.node_wait_seconds)
@@ -343,7 +342,7 @@ class CampaignDaemon:
             # and tries the finish record again once the disk recovers.
             self.emit(f"[service] {job_id}: WAL finish failed ({err}); "
                       f"will retry after backoff")
-            time.sleep(self.config.poll_interval)
+            time.sleep(POLL_INTERVAL)
             return
         self.emit(f"[service] {job_id}: done "
                   f"({summary['executions']} executions, "

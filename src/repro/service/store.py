@@ -67,6 +67,12 @@ ACTIVE_STATES = (SUBMITTED, RUNNING)
 #: Fault-injection site of every WAL append (torn-write chaos).
 WAL_SITE = "service.wal"
 
+#: Every WAL record kind, in the order the module docstring lists them.
+#: `JobStore._apply` refuses any other kind and `repro.engine.fsck`
+#: quarantines it, so a new kind needs only this line to reach both.
+WAL_KINDS = ("submit", "running", "grant", "merge", "divergence", "done",
+             "failed", "cancel")
+
 
 @dataclass
 class Job:
@@ -138,6 +144,8 @@ class JobStore:
 
     def _apply(self, rec: Dict) -> None:
         kind = rec.get("rec")
+        if kind not in WAL_KINDS:
+            raise ValueError(f"unknown WAL record kind {kind!r}")
         if kind == "submit":
             job = Job(job_id=rec["job"], seq=int(rec["seq"]),
                       name=str(rec.get("name", rec["job"])),

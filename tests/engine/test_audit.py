@@ -103,8 +103,8 @@ class TestAuditedPoolRun:
             spec=spec).report
         corpus = str(tmp_path / "corpus.jsonl")
         params = EngineParams(exhaustive=True, workers=2, target_shards=4,
-                              shard_timeout=2.0, heartbeat_interval=0.05,
-                              audit_fraction=1.0, corpus_path=corpus)
+                              shard_timeout=2.0, audit_fraction=1.0,
+                              corpus=corpus)
         plan = FaultPlan((Fault("pool.flip_result_byte", "corrupt",
                                 shard=1, attempt=1),))
         with plan:
@@ -141,8 +141,7 @@ class TestAuditedPoolRun:
             EngineParams(exhaustive=True, workers=1, target_shards=1),
             spec=spec).report
         params = EngineParams(exhaustive=True, workers=2, target_shards=4,
-                              shard_timeout=2.0, heartbeat_interval=0.05,
-                              audit_fraction=1.0)
+                              shard_timeout=2.0, audit_fraction=1.0)
         result = run_scenario(build_scenario(spec), params, spec=spec)
         tel = result.telemetry
         assert tel.audits_done >= 4

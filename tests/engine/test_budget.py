@@ -4,8 +4,7 @@ import time
 
 from repro.checking import check_scenario
 from repro.core import SpecStyle
-from repro.engine import (EngineParams, build_scenario, load_completed,
-                          run_scenario)
+from repro.engine import EngineParams, build_scenario, run_scenario
 from repro.engine.budget import BudgetSpec, BudgetTracker, Coverage
 
 from ._support import assert_reports_equal, vyukov_spec
@@ -72,12 +71,12 @@ class TestBudgetedRun:
         scenario = build_scenario(spec)
         starved = EngineParams(styles=STYLES, exhaustive=True,
                                max_steps=100_000, workers=1,
-                               target_shards=4, checkpoint_path=ck,
+                               target_shards=4, checkpoint=ck,
                                shard_seconds=0.0)
         run_scenario(scenario, starved, spec=spec)
         funded = EngineParams(styles=STYLES, exhaustive=True,
                               max_steps=100_000, workers=1,
-                              target_shards=4, checkpoint_path=ck)
+                              target_shards=4, checkpoint=ck)
         result = run_scenario(build_scenario(spec), funded, spec=spec)
         assert not result.report.budget_exhausted
         assert result.coverage.fraction == 1.0

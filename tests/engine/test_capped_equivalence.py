@@ -72,9 +72,9 @@ SCENARIOS = {
 #: randomized with 1-80 runs.
 modes = st.one_of(
     st.tuples(st.just(True), st.booleans(), st.just(300)),
-    st.tuples(st.just(False), st.none(), st.integers(1, 80)))
+    st.tuples(st.just(False), st.just(True), st.integers(1, 80)))
 
-Mode = Tuple[bool, Optional[bool], int]
+Mode = Tuple[bool, bool, int]
 
 
 def serial_report(spec: ScenarioSpec, cap: int, mode: Mode, model: str):
@@ -89,13 +89,13 @@ def engine_params(cap: int, mode: Mode, model: str,
     exhaustive, dpor, runs = mode
     return EngineParams(styles=STYLES, exhaustive=exhaustive, dpor=dpor,
                         runs=runs, max_executions=cap, model=model,
-                        heartbeat_interval=0.05, **overrides)
+                        **overrides)
 
 
 def pool_run(spec: ScenarioSpec, params: EngineParams, tmp_dir: str):
     """Pool run; one worker shards inline, planned for a checkpoint."""
     if params.workers == 1:
-        params.checkpoint_path = f"{tmp_dir}/ck-{id(params)}.jsonl"
+        params.checkpoint = f"{tmp_dir}/ck-{id(params)}.jsonl"
     return run_scenario(build_scenario(spec), params, spec=spec)
 
 
@@ -112,7 +112,7 @@ def dist_run(spec: ScenarioSpec, params: EngineParams,
     """
     coord = Coordinator(params, spec,
                         DistParams(lease_seconds=5.0, node_wait_seconds=20.0,
-                                   tick=0.05, idle_wait=0.05))
+                                   idle_wait=0.05))
     if stop is not None:
         coord._stop = stop
     box: Dict = {}
@@ -206,14 +206,16 @@ class TestEveryCutPoint:
     @staticmethod
     def check_caps(spec: ScenarioSpec, caps, target_shards: int,
                    dpor: Optional[bool] = None) -> None:
+        # None keeps the engine's default (DPOR on).
+        options = {} if dpor is None else {"dpor": dpor}
         scenario = build_scenario(spec)
         for cap in caps:
             serial = check_scenario(scenario, styles=STYLES,
                                     exhaustive=True, max_executions=cap,
-                                    dpor=dpor)
+                                    **options)
             params = EngineParams(styles=STYLES, exhaustive=True,
-                                  max_executions=cap, dpor=dpor,
-                                  target_shards=target_shards)
+                                  max_executions=cap,
+                                  target_shards=target_shards, **options)
             result = run_scenario(scenario, params, spec=spec)
             assert len(result.shards) > 1
             try:
@@ -283,8 +285,7 @@ class TestAuditAndHedgeUnderCap:
         serial = serial_report(spec, 10, self.MODE, "orc11")
         params = engine_params(10, self.MODE, "orc11", workers=4,
                                target_shards=4, shard_timeout=2.0,
-                               hedge=True, hedge_floor=0.25,
-                               hedge_factor=1.5, audit_fraction=1.0)
+                               hedge=True, audit_fraction=1.0)
         plan = FaultPlan((Fault("hedge.slow_worker", "delay", shard=1,
                                 attempt=1, delay_seconds=2.5),))
         with plan:

@@ -12,6 +12,7 @@ import inspect
 import pytest
 
 import repro.libs as libs
+from repro.checking import check_scenario
 from repro.engine.catalog import LIB_COVERAGE
 from repro.engine.registry import (ScenarioSpec, build_scenario,
                                    registered_builders)
@@ -59,6 +60,7 @@ def test_claimed_builders_build(builder):
     scenario = build_scenario(ScenarioSpec(builder, kwargs=kwargs))
     assert scenario.name
     assert callable(scenario.factory)
+    _assert_runs_clean(scenario)
 
 
 @pytest.mark.parametrize("impl", ["spin", "ticket", "peterson"])
@@ -66,6 +68,15 @@ def test_lock_counter_variants_build(impl):
     scenario = build_scenario(
         ScenarioSpec("lock-counter", kwargs={"impl": impl}))
     assert impl in scenario.name
+    _assert_runs_clean(scenario)
+
+
+def _assert_runs_clean(scenario):
+    """The built program runs: a few random executions complete and
+    pass the scenario's checks and outcome obligations."""
+    report = check_scenario(scenario, runs=3)
+    assert report.executions == report.complete == 3
+    assert report.ok, report.summary()
 
 
 def test_fuzz_grammar_covers_the_concurrent_catalogue():

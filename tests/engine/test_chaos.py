@@ -6,12 +6,14 @@ crash+hang+torn-write triple — and assert the merged report is
 identical to the fault-free serial run with no child process leaked.
 """
 
+import copy
 import multiprocessing
 
 import pytest
 
+from repro.engine.audit import report_divergence
 from repro.engine.chaos import (ChaosCase, baseline_report, build_cases,
-                                report_mismatches, run_case)
+                                run_case)
 from repro.engine.faults import Fault, FaultPlan
 
 needs_fork = pytest.mark.skipif(
@@ -22,12 +24,23 @@ needs_fork = pytest.mark.skipif(
 class TestReportMismatches:
     def test_equal_reports_have_no_mismatches(self):
         base = baseline_report(exhaustive=True)
-        assert report_mismatches(base, base) == []
+        assert report_divergence(base, base) is None
 
     def test_differences_are_reported(self):
         a = baseline_report(exhaustive=True)
         b = baseline_report(exhaustive=False)
-        assert report_mismatches(a, b)  # different modes differ
+        assert report_divergence(a, b)  # different modes differ
+
+    def test_prune_accounting_drift_is_reported(self):
+        """Every report field but ``seconds`` counts: a row whose DPOR
+        prune accounting drifted must not pass."""
+        base = baseline_report(exhaustive=True)
+        drifted = copy.deepcopy(base)
+        drifted.pruned_subtrees += 1
+        drifted.seconds += 1.0
+        assert report_divergence(base, drifted) == (
+            f"report differs at $.pruned_subtrees: "
+            f"{base.pruned_subtrees + 1} != {base.pruned_subtrees}")
 
 
 class TestChaosMatrix:

@@ -13,7 +13,7 @@ STYLES = (SpecStyle.LAT_HB,)
 
 def engine_params(ck_path, **overrides):
     kwargs = dict(styles=STYLES, exhaustive=True, max_steps=400,
-                  workers=1, target_shards=8, checkpoint_path=str(ck_path))
+                  workers=1, target_shards=8, checkpoint=str(ck_path))
     kwargs.update(overrides)
     return EngineParams(**kwargs)
 
@@ -101,8 +101,8 @@ class TestCorpusFlushMarker:
         corpus = tmp_path / "mp.corpus.jsonl"
         params = EngineParams(styles=(), exhaustive=False, runs=30, seed=1,
                               max_steps=100_000, workers=1,
-                              target_shards=4, checkpoint_path=str(ck),
-                              corpus_path=str(corpus))
+                              target_shards=4, checkpoint=str(ck),
+                              corpus=str(corpus))
         first = run_scenario(scenario, params, spec=spec)
         assert first.report.outcome_failures > 0
         n = len(load_corpus(str(corpus)))

@@ -13,7 +13,7 @@ from repro.engine import (CorpusEntry, EngineParams, ScenarioSpec,
 def run_with_corpus(spec, corpus_path, **param_overrides):
     kwargs = dict(styles=(), exhaustive=False, runs=60, seed=1,
                   max_steps=20_000, workers=1, target_shards=2,
-                  corpus_path=str(corpus_path))
+                  corpus=str(corpus_path))
     kwargs.update(param_overrides)
     return run_scenario(build_scenario(spec), EngineParams(**kwargs),
                         spec=spec)

@@ -41,8 +41,7 @@ def _chan_pair():
 
 
 def _engine_params(**overrides) -> EngineParams:
-    base = dict(exhaustive=True, target_shards=4, max_steps=400,
-                heartbeat_interval=0.05)
+    base = dict(exhaustive=True, target_shards=4, max_steps=400)
     base.update(overrides)
     return EngineParams(**base)
 
@@ -197,13 +196,13 @@ class TestLeaseTable:
         lease = table.grant("a", now=0.0)
         table.fail(0, lease.token, "a", now=0.0, reason="boom")
         assert table.grant("a", now=1.0) is None
-        assert table.grant("a", now=1.0, lenient=True) is not None
+        assert table.grant("a", now=1.0, live_nodes={"a"}) is not None
 
     def test_retry_budget_exhaustion_fails_the_shard(self):
         table = LeaseTable(1, max_retries=1, lease_seconds=1.0,
                            backoff_base=0.0)
         for attempt in (1, 2):
-            lease = table.grant("a", now=float(attempt), lenient=True)
+            lease = table.grant("a", now=float(attempt), live_nodes={"a"})
             assert lease.attempt == attempt
             table.fail(0, lease.token, "a", now=float(attempt),
                        reason="boom")
@@ -441,10 +440,8 @@ class TestDistEquivalence:
                                 attempt=1, delay_seconds=2.5),))
         with plan:
             coord = Coordinator(
-                _engine_params(hedge=True, hedge_floor=0.25,
-                               hedge_factor=1.5), hw_spec(),
-                DistParams(lease_seconds=10.0, node_wait_seconds=20.0,
-                           tick=0.05))
+                _engine_params(hedge=True), hw_spec(),
+                DistParams(lease_seconds=10.0, node_wait_seconds=20.0))
             thread, box = _serve_async(coord)
             workers = [threading.Thread(
                 target=run_node, args=(coord.host, coord.port),
@@ -472,8 +469,7 @@ class TestDistEquivalence:
         with plan:
             coord = Coordinator(
                 _engine_params(audit_fraction=1.0), hw_spec(),
-                DistParams(lease_seconds=5.0, node_wait_seconds=20.0,
-                           tick=0.05))
+                DistParams(lease_seconds=5.0, node_wait_seconds=20.0))
             thread, box = _serve_async(coord)
             workers = [threading.Thread(
                 target=run_node, args=(coord.host, coord.port),
@@ -502,7 +498,7 @@ class TestDistEquivalence:
         ctx = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else "spawn")
-        lease_seconds = 1.0
+        lease_seconds = 1.5
         # Pin the victim inside shard 0's exploration so the SIGKILL
         # deterministically lands mid-shard.
         plan = FaultPlan((Fault("worker.explore", "hang",
@@ -513,7 +509,7 @@ class TestDistEquivalence:
                 coord = Coordinator(
                     _engine_params(), hw_spec(),
                     DistParams(lease_seconds=lease_seconds,
-                               node_wait_seconds=30.0, tick=0.05))
+                               node_wait_seconds=30.0))
                 thread, box = _serve_async(coord)
                 victim = ctx.Process(
                     target=_dist_node_main,
@@ -558,8 +554,7 @@ class TestDistEquivalence:
         with plan:
             coord = Coordinator(_engine_params(), hw_spec(),
                                 DistParams(lease_seconds=5.0,
-                                           node_wait_seconds=20.0,
-                                           tick=0.05))
+                                           node_wait_seconds=20.0))
             thread, box = _serve_async(coord)
             workers = [threading.Thread(
                 target=run_node, args=(coord.host, coord.port),
@@ -578,7 +573,7 @@ class TestDistEquivalence:
     def test_degraded_coverage_when_no_node_ever_joins(self):
         coord = Coordinator(_engine_params(), hw_spec(),
                             DistParams(lease_seconds=1.0,
-                                       node_wait_seconds=0.4, tick=0.05))
+                                       node_wait_seconds=0.4))
         result = coord.serve()
         assert result.coverage.degraded
         assert result.coverage.shards_complete == 0
@@ -608,7 +603,7 @@ class TestDistEquivalence:
     def test_checkpoint_resume_skips_done_shards(self, tmp_path):
         serial = _serial_report()
         checkpoint = str(tmp_path / "ckpt.jsonl")
-        params = _engine_params(checkpoint_path=checkpoint)
+        params = _engine_params(checkpoint=checkpoint)
         for _round in range(2):
             coord = Coordinator(params, hw_spec(),
                                 DistParams(lease_seconds=5.0,

@@ -45,8 +45,7 @@ needs_fork = pytest.mark.skipif(
 
 
 def _dist_params(**overrides) -> EngineParams:
-    base = dict(exhaustive=True, target_shards=4, max_steps=400,
-                heartbeat_interval=0.05)
+    base = dict(exhaustive=True, target_shards=4, max_steps=400)
     base.update(overrides)
     return EngineParams(**base)
 
@@ -54,8 +53,8 @@ def _dist_params(**overrides) -> EngineParams:
 def _dist_run(params: EngineParams, spec=None, sink=None):
     """Serve one run to two in-thread nodes; return its result."""
     coord = Coordinator(params, spec or hw_spec(),
-                        DistParams(lease_seconds=5.0, node_wait_seconds=20.0,
-                                   tick=0.05), sink=sink)
+                        DistParams(lease_seconds=5.0, node_wait_seconds=20.0),
+                        sink=sink)
     box = {}
     serve = threading.Thread(
         target=lambda: box.update(result=coord.serve()), daemon=True)
@@ -132,7 +131,7 @@ class TestDistEvents:
     def test_capped_run_reports_its_dropped_shards(self, capsys):
         params = EngineParams(styles=(SpecStyle.LAT_HB,), exhaustive=True,
                               target_shards=9, max_executions=100,
-                              heartbeat_interval=0.05, progress=True)
+                              progress=True)
         result = _dist_run(params, spec=CAPPED_SPEC)
         assert_stream_consistent(result)
         assert_capped_accounting(result, capsys.readouterr().err)

@@ -7,8 +7,7 @@ import time
 import pytest
 
 from repro.engine.faults import (FAULT_PLAN_ENV, Fault, FaultInjected,
-                                 FaultPlan, fault_point, mutate_blob,
-                                 torn_text)
+                                 FaultPlan, fault_point, mutate_blob)
 
 
 class TestFaultMatching:
@@ -99,12 +98,3 @@ class TestMutation:
         with plan:
             assert mutate_blob("worker.result", blob, shard=0,
                                attempt=1) == blob
-
-    def test_torn_text_halves_but_keeps_newline(self):
-        plan = FaultPlan((Fault("corpus.append", "torn"),), seed=4)
-        line = '{"kind": "outcome", "trace": [[2, 1]]}\n'
-        with plan:
-            out = torn_text("corpus.append", line)
-        assert out.endswith("\n")
-        assert len(out) < len(line)
-        assert line.startswith(out[:-1])

@@ -5,12 +5,13 @@ from __future__ import annotations
 import json
 import os
 
-from repro.engine.crashcheck import canonical_report
+from repro.engine.audit import report_fingerprint
 from repro.engine.durable import (append_line, encode_line,
                                   read_records)
 from repro.engine.fsck import (FsckReport, audit_jsonl,
                                audit_wal_invariants, classify_record,
                                run_fsck)
+from repro.service.store import WAL_KINDS, JobStore
 
 WAL = [
     {"rec": "submit", "job": "job-0001", "seq": 1, "name": "n",
@@ -155,9 +156,9 @@ class TestRepairThenResume:
             return EngineParams(styles=(SpecStyle.LAT_HB,),
                                 exhaustive=True, workers=1,
                                 target_shards=shards,
-                                checkpoint_path=ck)
+                                checkpoint=ck)
 
-        serial = canonical_report(run_scenario(
+        serial = report_fingerprint(run_scenario(
             build_scenario(spec), params(1), spec=spec).report)
         ck = tmp_path / "checkpoint.jsonl"
         run_scenario(build_scenario(spec), params(4, str(ck)), spec=spec)
@@ -169,7 +170,7 @@ class TestRepairThenResume:
         assert healed.exit_code() == 3
         resumed = run_scenario(build_scenario(spec),
                                params(4, str(ck)), spec=spec)
-        assert canonical_report(resumed.report) == serial
+        assert report_fingerprint(resumed.report) == serial
 
     def test_exit_code_table_is_exhaustive(self):
         assert FsckReport().exit_code() == 0
@@ -190,19 +191,30 @@ class TestRepairIdempotency:
     never reached a fixed point.
     """
 
-    FULL_WAL = WAL + [
-        {"rec": "running", "job": "job-0001"},
-        {"rec": "divergence", "job": "job-0001", "shard": 1,
-         "node": "n0", "finding": {"kind": "result-divergence",
-                                   "shard": 1, "worker": "node n0"}},
-        {"rec": "merge", "job": "job-0001", "shard": 1, "token": 2,
-         "executions": 4},
-        {"rec": "done", "job": "job-0001", "ok": True, "summary": {}},
-    ]
+    @staticmethod
+    def _full_wal(path):
+        """A healthy WAL holding one record of every kind, written
+        through the `JobStore` API; returns its records."""
+        store = JobStore(str(path))
+        done, _ = store.submit("done", {"builder": "x"}, {}, "k")
+        store.mark_running(done.job_id)
+        store.record_grant(done.job_id, 1, 2, 1, "n0")
+        store.record_divergence(done.job_id, 1, "n0",
+                                {"kind": "result-divergence", "shard": 1,
+                                 "worker": "node n0"})
+        store.record_merge(done.job_id, 1, 2, 4)
+        store.finish(done.job_id, ok=True, summary={})
+        failed, _ = store.submit("failed", {"builder": "x"}, {})
+        store.fail(failed.job_id, "boom")
+        cancelled, _ = store.submit("cancelled", {"builder": "x"}, {})
+        store.cancel(cancelled.job_id)
+        records, _ = read_records(str(path))
+        assert {r["rec"] for r in records} == set(WAL_KINDS)
+        return records
 
     def test_repair_of_a_healthy_tree_is_a_noop(self, tmp_path):
         path = tmp_path / "wal.jsonl"
-        _write(path, self.FULL_WAL)
+        self._full_wal(path)
         before = path.read_bytes()
         report = run_fsck(str(path), repair=True)
         assert report.exit_code() == 0 and not report.findings
@@ -210,15 +222,16 @@ class TestRepairIdempotency:
         assert not (tmp_path / "wal.jsonl.rejected").exists()
 
     def test_second_repair_after_damage_is_a_noop(self, tmp_path):
+        full = self._full_wal(tmp_path / "healthy.jsonl")
         path = tmp_path / "wal.jsonl"
-        _write(path, self.FULL_WAL[:3])
+        _write(path, full[:3])
         with open(path, "a") as fh:
             fh.write("MID-FILE GARBAGE\n")
-        _write(path, self.FULL_WAL[3:])
+        _write(path, full[3:])
         assert run_fsck(str(path), repair=True).exit_code() == 3
         records, _ = read_records(str(path))
         # Every valid record — the divergence one included — survived.
-        assert records == self.FULL_WAL
+        assert records == full
         healed = path.read_bytes()
         again = run_fsck(str(path), repair=True)
         assert again.exit_code() == 0 and not again.findings

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import EngineParams, run_scenario
+from repro.engine.audit import AUDIT_ATTEMPT_BASE
 from repro.engine.faults import Fault, FaultPlan
 from repro.engine.hedge import HEDGE_ATTEMPT_BASE, DeadlineEstimator
 from repro.engine.registry import build_scenario
@@ -116,9 +117,7 @@ class TestHedgedPoolRun:
             EngineParams(exhaustive=True, workers=1, target_shards=1),
             spec=spec).report
         params = EngineParams(exhaustive=True, workers=4, target_shards=4,
-                              shard_timeout=2.0, heartbeat_interval=0.05,
-                              hedge=True, hedge_floor=0.25,
-                              hedge_factor=1.5)
+                              shard_timeout=2.0, hedge=True)
         plan = FaultPlan((Fault("hedge.slow_worker", "delay", shard=1,
                                 attempt=1, delay_seconds=2.5),))
         with plan:
@@ -128,6 +127,53 @@ class TestHedgedPoolRun:
         assert tel.hedges_issued >= 1
         assert tel.hedge_wins >= 1
         assert tel.hung_killed == 0
+
+    def test_primary_beating_its_shadow_charges_the_loser(self):
+        """Shard 1's primary (1.5 s) is hedged at the 0.5 s deadline
+        floor, but its shadow is slower still (2 s): the primary wins
+        (``hedge_loss``) and the shadow, landing while the held audit
+        of shard 1 keeps the run open, is charged as wasted."""
+        tel = self._hedged_run(
+            Fault("hedge.slow_worker", "delay", shard=1, attempt=1,
+                  delay_seconds=1.5),
+            Fault("hedge.slow_worker", "delay", shard=1,
+                  attempt=HEDGE_ATTEMPT_BASE + 1, delay_seconds=2.0))
+        assert tel.hedges_issued >= 1
+        assert tel.hedge_losses >= 1
+        assert tel.hedge_wins == 0
+        assert tel.hedge_wasted_execs > 0
+
+    def test_fenced_straggler_after_a_hedge_win_is_wasted(self):
+        """Shard 1's primary (2 s) loses to its prompt shadow; its late
+        result, landing while the held audit keeps the run open, is
+        fenced and charged as wasted."""
+        tel = self._hedged_run(
+            Fault("hedge.slow_worker", "delay", shard=1, attempt=1,
+                  delay_seconds=2.0))
+        assert tel.hedge_wins >= 1
+        assert tel.results_fenced >= 1
+        assert tel.hedge_wasted_execs > 0
+
+    @staticmethod
+    def _hedged_run(*faults):
+        """A 2-worker hedged, fully audited run under ``faults``, with
+        shard 1's audit held long enough for every copy of the shard to
+        land before the run settles; returns its telemetry after
+        checking the merge against serial."""
+        spec = hw_spec()
+        serial = run_scenario(
+            build_scenario(spec),
+            EngineParams(exhaustive=True, workers=1, target_shards=1),
+            spec=spec).report
+        params = EngineParams(exhaustive=True, workers=2, target_shards=4,
+                              hedge=True, audit_fraction=1.0)
+        hold = Fault("hedge.slow_worker", "delay", shard=1,
+                     attempt=AUDIT_ATTEMPT_BASE + 1, delay_seconds=2.5)
+        with FaultPlan(faults + (hold,)):
+            result = run_scenario(build_scenario(spec), params, spec=spec)
+        assert_reports_equal(result.report, serial)
+        assert result.telemetry.audit_divergences == 0
+        return result.telemetry
 
     def test_hedging_off_is_the_default(self):
         assert EngineParams().hedge is False

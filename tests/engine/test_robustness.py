@@ -145,7 +145,7 @@ class TestRetryExhaustion:
         scenario = Scenario(base.name, factory, base.extract)
         params = EngineParams(styles=STYLES, exhaustive=False, runs=20,
                               seed=4, workers=1, target_shards=4,
-                              checkpoint_path=ck, max_retries=1)
+                              checkpoint=ck, max_retries=1)
         with pytest.raises(ShardFailed):
             run_scenario(scenario, params)
 
@@ -166,8 +166,8 @@ class TestCorpusIdempotence:
                             kwargs={"impl": "ms", "use_flag": False})
         params = EngineParams(styles=(), exhaustive=False, runs=30,
                               seed=1, max_steps=100_000, workers=1,
-                              target_shards=4, checkpoint_path=ck,
-                              corpus_path=corpus)
+                              target_shards=4, checkpoint=ck,
+                              corpus=corpus)
         first = run_scenario(build_scenario(spec), params, spec=spec)
         n = len(load_corpus(corpus))
         assert n == len(first.corpus_entries) > 0

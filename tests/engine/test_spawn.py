@@ -24,18 +24,26 @@ pytestmark = pytest.mark.skipif(
 
 
 def _run(**overrides):
-    base = dict(exhaustive=True, max_steps=400, heartbeat_interval=0.05)
+    base = dict(exhaustive=True, max_steps=400)
     base.update(overrides)
     return run_scenario(None, EngineParams(**base), spec=hw_spec())
 
 
+@pytest.fixture
+def spawn_only(monkeypatch):
+    """A platform without ``fork``: local nodes are spawned."""
+    monkeypatch.setattr(
+        "repro.engine.pool.multiprocessing.get_all_start_methods",
+        lambda: ["spawn"])
+
+
 class TestSpawnEquivalence:
-    def test_spawn_pool_matches_serial(self):
+    def test_spawn_pool_matches_serial(self, spawn_only):
         serial = _run(workers=1)
-        spawned = _run(workers=2, target_shards=4, start_method="spawn")
+        spawned = _run(workers=2, target_shards=4)
         assert_reports_equal(spawned.report, serial.report)
 
-    def test_fault_plan_crosses_the_spawn_boundary(self):
+    def test_fault_plan_crosses_the_spawn_boundary(self, spawn_only):
         """A transient fault must fire *inside* a spawn worker — which
         only happens if ``REPRO_FAULT_PLAN`` survives the process
         boundary — and the retry must still converge exactly."""
@@ -43,8 +51,7 @@ class TestSpawnEquivalence:
         plan = FaultPlan((Fault("worker.explore", "raise",
                                 shard=1, attempt=1),))
         with plan:
-            result = _run(workers=2, target_shards=4,
-                          start_method="spawn")
+            result = _run(workers=2, target_shards=4)
         assert_reports_equal(result.report, serial.report)
         # The retry was charged, so the fault genuinely fired remotely.
         assert result.telemetry.retries >= 1

@@ -196,7 +196,7 @@ class TestGracefulDegradation:
         def params(ck):
             return EngineParams(styles=styles, exhaustive=True,
                                 workers=1, target_shards=4,
-                                checkpoint_path=ck)
+                                checkpoint=ck)
 
         plan = FaultPlan(tuple(Fault("checkpoint.append", "enospc")
                                for _ in range(2)), seed=1)

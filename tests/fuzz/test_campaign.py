@@ -1,11 +1,9 @@
 """Campaign determinism, worker-count independence, corpus round trips."""
 
 import json
-import os
 
 from repro.engine.corpus import load_corpus, replay_entry
-from repro.fuzz import (FUZZ_SEED_ENV, FuzzParams, GrammarConfig,
-                        run_campaign)
+from repro.fuzz import FuzzParams, GrammarConfig, run_campaign
 
 BROKEN = GrammarConfig(include_broken=True, only=("ms-queue-broken",))
 
@@ -26,20 +24,11 @@ def test_campaign_is_deterministic():
 
 
 def test_campaign_reproducible_across_worker_counts():
-    """The regression test for the env-carried fuzz seed: ``--workers N``
-    must change wall-clock time only, never one byte of the result."""
+    """``--workers N`` must change wall-clock time only, never one byte
+    of the result."""
     serial = run_campaign(_params(workers=1))
     parallel = run_campaign(_params(workers=2))
     assert serial.to_json() == parallel.to_json()
-
-
-def test_campaign_restores_the_env_seed(monkeypatch):
-    monkeypatch.delenv(FUZZ_SEED_ENV, raising=False)
-    run_campaign(_params(budget=30, max_shrinks=0))
-    assert FUZZ_SEED_ENV not in os.environ
-    monkeypatch.setenv(FUZZ_SEED_ENV, "77")
-    run_campaign(_params(budget=30, max_shrinks=0))
-    assert os.environ[FUZZ_SEED_ENV] == "77"
 
 
 def test_campaign_persists_replayable_corpus(tmp_path):

@@ -1,13 +1,9 @@
 """The fuzz executor: generated programs become replayable scenarios."""
 
-import os
-
-import pytest
-
 from repro.checking.runner import check_scenario
 from repro.engine.registry import ScenarioSpec, build_scenario
-from repro.fuzz import (FUZZ_SEED_ENV, GrammarConfig, exploration_oracle,
-                        generate_program, program_styles, scenario_for)
+from repro.fuzz import (GrammarConfig, exploration_oracle, generate_program,
+                        program_styles, scenario_for)
 from repro.fuzz.grammar import FuzzProgram, LibInstance
 
 
@@ -43,27 +39,6 @@ def test_fuzz_case_builder_round_trips():
     rep = check_scenario(scenario, styles=program_styles(fp), runs=10,
                          seed=0, max_steps=6000)
     assert rep.executions == 10
-
-
-def test_fuzz_gen_builder_with_explicit_seed():
-    fp = generate_program(13, 5)
-    scenario = build_scenario(
-        ScenarioSpec("fuzz-gen", kwargs={"index": 5, "seed": 13}))
-    assert scenario.name == f"fuzz[{fp.digest()}]"
-
-
-def test_fuzz_gen_builder_resolves_seed_from_env(monkeypatch):
-    """The env-carried master seed (REPRO_FUZZ_SEED) is how spawn/fork
-    workers rebuild a campaign case from its index alone."""
-    monkeypatch.setenv(FUZZ_SEED_ENV, "13")
-    scenario = build_scenario(ScenarioSpec("fuzz-gen", kwargs={"index": 5}))
-    assert scenario.name == f"fuzz[{generate_program(13, 5).digest()}]"
-
-
-def test_fuzz_gen_builder_requires_a_seed(monkeypatch):
-    monkeypatch.delenv(FUZZ_SEED_ENV, raising=False)
-    with pytest.raises(KeyError):
-        build_scenario(ScenarioSpec("fuzz-gen", kwargs={"index": 0}))
 
 
 def test_every_signature_builds_and_runs():

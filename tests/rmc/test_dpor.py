@@ -9,8 +9,7 @@ import pytest
 from repro.checking import check_scenario
 from repro.core import SpecStyle
 from repro.engine import (ScenarioSpec, Shard, build_scenario, iter_shard,
-                          plan_exhaustive_shards_dpor, stats_from_json,
-                          stats_to_json)
+                          plan_exhaustive_shards_dpor)
 from repro.rmc import (ACQ, NA, RLX, SC, Alloc, Cas, Decider, Fence,
                        Footprint, GhostCommit, Load, Machine, Program,
                        RandomDecider, SleepSetCut, SleepSetDecider, Store,
@@ -292,30 +291,6 @@ class TestStatsDropped:
                                      trace=[(2, i % 2)]))
         assert len(stats.race_traces) == RACE_TRACE_CAP
         assert stats.race_traces_dropped == 3
-
-    def test_merge_accounts_for_truncation(self):
-        a = ExplorationStats(race_traces=[[(2, 0)]] * (RACE_TRACE_CAP - 1))
-        b = ExplorationStats(race_traces=[[(2, 1)]] * 3,
-                             race_traces_dropped=2)
-        a.merge(b)
-        assert len(a.race_traces) == RACE_TRACE_CAP
-        # b's own drops plus the 2 traces that no longer fit.
-        assert a.race_traces_dropped == 4
-
-    def test_add_preserves_new_fields(self):
-        a = ExplorationStats(race_traces_dropped=1, pruned_subtrees=7)
-        c = a + ExplorationStats(race_traces_dropped=2, pruned_subtrees=5)
-        assert c.race_traces_dropped == 3
-        assert c.pruned_subtrees == 12
-        assert a.race_traces_dropped == 1  # __add__ does not mutate
-
-    def test_json_round_trip(self):
-        stats = ExplorationStats(executions=9, complete=7, truncated=1,
-                                 raced=1, steps=42, exhausted=True,
-                                 race_traces=[[(3, 1), (2, 0)]],
-                                 race_traces_dropped=4, pruned_subtrees=11)
-        back = stats_from_json(stats_to_json(stats))
-        assert back == stats
 
 
 class TestShardDpor:

@@ -100,10 +100,8 @@ def _reap(daemon: subprocess.Popen) -> int:
 
 
 def _hw_params() -> dict:
-    wire = EngineParams(exhaustive=True, max_steps=400,
-                        heartbeat_interval=0.05).wire_json()
-    wire["target_shards"] = 4
-    return wire
+    return EngineParams(exhaustive=True, max_steps=400,
+                        target_shards=4).wire_json()
 
 
 def _hw_serial():
@@ -204,8 +202,7 @@ class TestDrain:
         serial = run_scenario(None, EngineParams(exhaustive=True),
                               spec=vyukov_spec()).report
         data_dir = str(tmp_path / "svc")
-        params = EngineParams(exhaustive=True).wire_json()
-        params["target_shards"] = 4
+        params = EngineParams(exhaustive=True, target_shards=4).wire_json()
         first = _start_daemon(data_dir)
         try:
             client = _client_for(data_dir, first)
