@@ -8,6 +8,9 @@ everything each `ExecutionResult` exposes and compares the digests with
 ``machine_golden.json``, which was recorded from the machine before its
 step loop and records were last reworked.
 
+The inputs cover every litmus test under every model and again with
+``sc_upgrade``, and library runs under DPOR (a raced mutant, one with
+race detection off and one truncated by ``max_steps``) and at random.
 Per execution the digest covers the decision trace, returns, race,
 steps and truncation; every location's history (value, writer, wclock,
 non-atomic flag and the sorted items of the released view); the SC view
@@ -37,9 +40,9 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "machine_golden.json")
 MODELS = ("sc", "tso", "ra", "orc11")
 
 
-def _mixed(impl, threads, ops):
+def _mixed(impl, threads, ops, seed=0):
     return build_scenario(ScenarioSpec("mixed-stress", kwargs={
-        "impl": impl, "threads": threads, "ops": ops, "seed": 0}))
+        "impl": impl, "threads": threads, "ops": ops, "seed": seed}))
 
 
 #: Library inputs: (key, scenario builder, how its executions are made).
@@ -53,6 +56,19 @@ LIBRARY_INPUTS = (
     ("hw-queue/rlx t3xo3 random 20",
      lambda: _mixed("hw-queue/rlx", 3, 3),
      lambda f: explore_random(f, runs=20, seed=0, max_steps=20_000)),
+    # Scenario seed 2 is a mix whose first 200 executions include 175
+    # raced ones (seed 0's first 3000 have none).
+    ("ms-queue/broken-rlx t3xo2 seed 2 dpor cap 200",
+     lambda: _mixed("ms-queue/broken-rlx", 3, 2, seed=2),
+     lambda f: explore_all_dpor(f, max_steps=20_000, max_executions=200)),
+    ("ms-queue/ra t3xo2 dpor cap 200 no race detection",
+     lambda: _mixed("ms-queue/ra", 3, 2),
+     lambda f: explore_all_dpor(f, max_steps=20_000, max_executions=200,
+                                race_detection=False)),
+    # 82 of the 200 executions stop at max_steps.
+    ("ms-queue/ra t3xo2 dpor cap 200 max_steps 35",
+     lambda: _mixed("ms-queue/ra", 3, 2),
+     lambda f: explore_all_dpor(f, max_steps=35, max_executions=200)),
 )
 
 
@@ -122,8 +138,9 @@ def digest(results, extract=None):
     return [n, h.hexdigest()]
 
 
-def litmus_digest(name, model):
-    return digest(explore_all_dpor(CATALOGUE[name], model=model))
+def litmus_digest(name, model, sc_upgrade=False):
+    return digest(explore_all_dpor(CATALOGUE[name], model=model,
+                                   sc_upgrade=sc_upgrade))
 
 
 def library_digest(key):
@@ -139,6 +156,8 @@ def all_digests():
     for name in sorted(CATALOGUE):
         for model in MODELS:
             out[f"litmus {name} {model}"] = litmus_digest(name, model)
+        out[f"litmus {name} orc11 sc_upgrade"] = litmus_digest(
+            name, "orc11", sc_upgrade=True)
     for key, _build, _explore in LIBRARY_INPUTS:
         out[key] = library_digest(key)
     return out
@@ -153,6 +172,7 @@ class TestMachineGolden:
     def test_golden_covers_every_input(self):
         want = {f"litmus {name} {model}" for name in CATALOGUE
                 for model in MODELS}
+        want |= {f"litmus {name} orc11 sc_upgrade" for name in CATALOGUE}
         want |= {key for key, _b, _e in LIBRARY_INPUTS}
         assert set(load_golden()) == want
         assert len(CATALOGUE) == 14
@@ -163,6 +183,13 @@ class TestMachineGolden:
         for name in sorted(CATALOGUE):
             key = f"litmus {name} {model}"
             assert litmus_digest(name, model) == golden[key], key
+
+    def test_litmus_catalogue_sc_upgrade(self):
+        golden = load_golden()
+        for name in sorted(CATALOGUE):
+            key = f"litmus {name} orc11 sc_upgrade"
+            assert litmus_digest(name, "orc11", sc_upgrade=True) \
+                == golden[key], key
 
     @pytest.mark.parametrize("key", [k for k, _b, _e in LIBRARY_INPUTS])
     def test_library(self, key):
