@@ -22,7 +22,9 @@ The pieces:
   the same stateless replay loop, backtracking only to awake siblings and
   counting every skipped branch in :class:`DporStats`.  Each replay
   inherits the previous replay's footprints and entry sleep sets for the
-  prefix the two share, so only the new suffix does DPOR work.
+  prefix the two share, so only the new suffix does DPOR work, and the
+  previous replay's step records, so the machine fast-forwards through
+  the shared prefix (`repro.rmc.machine.Machine._forward`).
 
 Sleep sets are a *path* property: the sleep set at any node is a pure
 function of the decisions leading to it.  That is what makes the
@@ -53,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .machine import ExecutionResult
+from .machine import ExecutionResult, StepRecord
 from .ops import Footprint
 from .scheduler import Decider
 
@@ -146,7 +148,10 @@ class SleepSetDecider(Decider):
     :func:`explore_all_dpor` hands over the previous replay's records
     for the shared prefix (`_reuse`), the first ``reused`` decisions
     just follow the prefix: no footprint is fetched and no sleep set is
-    built until the last of them derives its child's sleep set.
+    built until the last of them derives its child's sleep set.  The
+    previous replay's step records for the steps wholly before the new
+    sibling come along too (``records``), and the machine fast-forwards
+    through them without asking the decider at all.
 
     ``pin`` is the length of the shard-root prefix: ``entry_sleep`` is
     installed as the sleep set at node ``pin`` (the shard root), and
@@ -157,6 +162,7 @@ class SleepSetDecider(Decider):
     """
 
     wants_footprints = True
+    wants_records = True
 
     def __init__(self, prefix: Sequence[int] = (), pin: int = 0,
                  entry_sleep: Optional[Dict[int, Footprint]] = None):
@@ -176,18 +182,30 @@ class SleepSetDecider(Decider):
         self.pruned = 0
         #: Leading decisions whose records came from the previous replay.
         self.reused = 0
+        #: One record per step of this replay (`Decider.wants_records`).
+        self.records: List[StepRecord] = []
 
     def _reuse(self, prev: "SleepSetDecider") -> None:
         """Take ``prev``'s records for the nodes this prefix shares.
 
         The prefix agrees with ``prev``'s trace on every decision but its
         last, so the footprints and entry sleep set at each of its
-        ``len(prefix)`` nodes are the ones ``prev`` recorded.
+        ``len(prefix)`` nodes are the ones ``prev`` recorded, and so are
+        the steps whose decisions all lie before that last one: they
+        become this replay's first records, and their decisions its
+        first trace entries.
         """
         m = len(self.prefix)
         self.footprints = prev.footprints[:m]
         self.entry_sleeps = prev.entry_sleeps[:m]
         self.reused = m
+        records = prev.records
+        k = len(records)
+        while k and records[k - 1].end >= m:
+            k -= 1
+        if k:
+            self.records = records[:k]
+            self.trace = prev.trace[:records[k - 1].end]
 
     def choose(self, n: int, footprints=None) -> int:
         if n <= 0:
@@ -321,10 +339,11 @@ def explore_all_dpor(
     in prefix order, to exactly the ``prefix=()`` enumeration.
 
     Every replay after the first reuses the previous replay's footprints
-    and entry sleep sets for the prefix they share
-    (`SleepSetDecider._reuse`).  Each replay still gets a fresh decider
-    and trace list: ``ExecutionResult.trace`` aliases the decider's
-    trace, and consumers keep it.
+    and entry sleep sets for the prefix they share, and fast-forwards
+    through the steps they share from its step records
+    (`SleepSetDecider._reuse`).  Each replay still gets a fresh decider,
+    trace list and program: ``ExecutionResult.trace`` aliases the
+    decider's trace, and consumers keep it.
     """
     base = list(prefix)
     entry = {fp.thread: fp for fp in sleep}

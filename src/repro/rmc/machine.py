@@ -25,12 +25,17 @@ visibility predicate, view acquisition, message-view construction, the
 SC-access synchronization, and fence rules — are dispatched through a
 :class:`repro.models.base.MemoryModel` (``model=`` on `Machine`/`run`);
 the default ``"orc11"`` model is exactly the semantics described above.
+
+Under a decider that asks for records (`Decider.wants_records`, the
+DPOR replays of `repro.rmc.dpor`) the machine keeps a `StepRecord` per
+step and fast-forwards a replay through the steps it shares with the
+previous one (`Machine._forward`, docs/dpor.md "Prefix fast-forward").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, NamedTuple, Optional, Tuple
 
 # The module, not `get_model` itself: repro.models imports rmc leaf
 # modules, so when the models package is the entry point it is still
@@ -104,6 +109,39 @@ class CommitCtx:
         self.thread.view = self.thread.view.extend(component, ts)
 
 
+class StepRecord(NamedTuple):
+    """One executed step, as the next DPOR replay fast-forwards it.
+
+    A thread state is ``(view, rel_view, acq_cache, clock, sc_view)``:
+    the thread's views and race-detector clock plus the memory's SC
+    view.  A record holds no program value — views are component ids
+    and timestamps, so replays of one program can share them, while a
+    value may be an object a generator created (`Machine._forward`).
+    """
+
+    #: The thread that stepped.
+    thread: int
+    #: Length of the decision trace when the step ended.
+    end: int
+    #: The thread state its commit hook ran at (None: no hook ran).
+    at_hook: Optional[tuple]
+    #: The thread state after the step.
+    after: tuple
+    #: Timestamp of the message the step read (None: it read none).
+    read_ts: Optional[int]
+    #: View sealed into the message the step wrote (None: it wrote none).
+    sealed: Optional[View]
+
+
+#: Builds a `StepRecord` from its field tuple in one C call.
+_record = tuple.__new__
+
+
+def _state(th: ThreadState, memory: Memory) -> tuple:
+    """The `StepRecord` thread state of ``th`` now."""
+    return (th.view, th.rel_view, th.acq_cache, th.clock, memory.sc_view)
+
+
 @dataclass
 class ExecutionResult:
     """Outcome of one complete (or truncated/raced) execution."""
@@ -152,6 +190,14 @@ class Machine:
             th = ThreadState(tid, gen, tau)
             self.threads.append(th)
         self.steps = 0
+        #: The decider's step records (None: it asks for none).
+        self._records: Optional[List[StepRecord]] = (
+            decider.records if decider.wants_records else None)
+        # What the executing step read, sealed and ran its hook at; the
+        # step rules set them and `run` files them in the step's record.
+        self._read: Optional[Message] = None
+        self._sealed: Optional[View] = None
+        self._at_hook: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Top-level driving
@@ -161,9 +207,13 @@ class Machine:
         truncated = False
         threads = self.threads
         decider = self.decider
+        records = self._records
+        memory = self.memory
         try:
             for th in threads:
                 self._advance(th, None)  # prime: run to the first yield
+            if records:
+                self._forward(records)
             # The runnable threads, rebuilt only when one finishes; the
             # footprint getter reads it at the decision it is handed to.
             enabled = self._enabled = [t.tid for t in threads
@@ -181,7 +231,17 @@ class Machine:
                 else:
                     th = threads[decider.choose_thread(enabled, footprints)]
                 self.steps += 1
-                self._advance(th, execute(th, th.pending))
+                if records is None:
+                    self._advance(th, execute(th, th.pending))
+                else:
+                    self._read = self._sealed = self._at_hook = None
+                    value = execute(th, th.pending)
+                    read = self._read
+                    records.append(_record(StepRecord, (
+                        th.tid, len(decider.trace), self._at_hook,
+                        _state(th, memory),
+                        None if read is None else read.ts, self._sealed)))
+                    self._advance(th, value)
                 if th.finished:
                     enabled = self._enabled = [t.tid for t in threads
                                                if not t.finished]
@@ -213,6 +273,70 @@ class Machine:
                     tid, th.pending, self.sc_upgrade, model=self.model)
             out.append(fp)
         return tuple(out)
+
+    def _forward(self, records: List[StepRecord]) -> None:
+        """Redo ``records``: the steps the previous replay took under the
+        decisions ``self.decider.trace`` already holds.
+
+        Thread code and commit hooks run again, so every object a
+        generator or hook creates and every event a registry commits is
+        rebuilt, with the identities this replay gives it.  The memory
+        model's work is not redone: visibility, view joins, model
+        dispatch, race checks and decisions come from the records.  A
+        hook runs at its recorded thread state, a read re-marks its
+        location, a write appends the fresh op's value under the
+        recorded view, and the thread takes its recorded state after
+        the step.  Values never come from a record: a read sends the
+        rebuilt message's value and an RMW computes from it.
+        """
+        threads, memory = self.threads, self.memory
+        locations = memory.locations
+        for tid, _end, at_hook, after, read_ts, sealed in records:
+            th = threads[tid]
+            op = th.pending
+            kind = type(op)
+            if kind is Alloc or kind is GhostCommit:
+                self._advance(th, _STEPS[kind](self, th, op))
+                continue
+            if self.sc_upgrade and op.mode is not NA:
+                op.mode = Mode.SC
+                if kind is Cas:
+                    op.fail_mode = Mode.SC
+            value = None
+            if kind is not Fence:
+                loc, clock = op.loc, after[3]
+                history = locations[loc].history
+                msg = old = None
+                if read_ts is not None:
+                    msg = history[read_ts]
+                    value = old = msg.val
+                    # Every model keeps a non-atomic access non-atomic,
+                    # and RMWs are never non-atomic.
+                    memory.mark_read(loc, tid, clock, op.mode is NA)
+                hook = op.commit
+                if kind is Cas:
+                    value = (sealed is not None, old)
+                    if sealed is None:
+                        hook = op.commit_fail
+                ts = None if sealed is None else len(history)
+                if hook is not None:
+                    (th.view, th.rel_view, th.acq_cache, th.clock,
+                     memory.sc_view) = at_hook
+                    hook(CommitCtx(self, th, op, msg_read=msg,
+                                   ts_written=ts, value_read=old))
+                if sealed is not None:
+                    if kind is Store:
+                        memory.append(loc, op.val, sealed, tid, clock,
+                                      op.mode is NA)
+                    else:
+                        new = (op.desired if kind is Cas
+                               else old + op.delta if kind is Faa
+                               else op.val)
+                        memory.append(loc, new, sealed, tid, clock, False)
+            (th.view, th.rel_view, th.acq_cache, th.clock,
+             memory.sc_view) = after
+            self._advance(th, value)
+        self.steps += len(records)
 
     def _advance(self, th: ThreadState, send_value: Any) -> None:
         th.footprint = None
@@ -255,10 +379,12 @@ class Machine:
             memory.check_read_race(loc, th.tid, th.view, na)
         model.pre_access(memory, th, mode)
         choices = model.read_choices(memory, th, loc, mode)
-        msg = choices[self.decider.choose_read(len(choices))]
+        msg = self._read = choices[self.decider.choose_read(len(choices))]
         model.absorb_read(memory, th, msg, mode)
         memory.mark_read(loc, th.tid, th.clock, na)
         if op.commit is not None:
+            if self._records is not None:
+                self._at_hook = _state(th, memory)
             op.commit(CommitCtx(self, th, op, msg_read=msg, value_read=msg.val))
         model.post_access(memory, th, mode)
         return msg.val
@@ -280,8 +406,11 @@ class Machine:
         ts = len(cell.history)  # the next timestamp: t⁺ = |h(ℓ)|
         th.view = th.view.extend(loc, ts)
         if op.commit is not None:
+            if self._records is not None:
+                self._at_hook = _state(th, memory)
             op.commit(CommitCtx(self, th, op, ts_written=ts))
-        mview = model.released_view(memory, th, loc, ts, mode, None)
+        mview = self._sealed = model.released_view(memory, th, loc, ts,
+                                                   mode, None)
         memory.append(loc, op.val, mview, th.tid, th.clock, na)
         model.post_access(memory, th, mode)
 
@@ -308,7 +437,7 @@ class Machine:
         else:
             choices = [m for m in visible[:-1] if m.val != expected]
             choices.append(visible[-1])
-        msg = choices[self.decider.choose_read(len(choices))]
+        msg = self._read = choices[self.decider.choose_read(len(choices))]
         if msg.val == expected:
             self._rmw_write(th, op, cell, msg, op.desired, op.commit, mode)
             out = (True, msg.val)
@@ -317,6 +446,8 @@ class Machine:
             model.absorb_read(memory, th, msg, model.fail_mode(op.fail_mode))
             memory.mark_read(loc, th.tid, th.clock, False)
             if op.commit_fail is not None:
+                if self._records is not None:
+                    self._at_hook = _state(th, memory)
                 op.commit_fail(
                     CommitCtx(self, th, op, msg_read=msg, value_read=msg.val))
             out = (False, msg.val)
@@ -341,7 +472,7 @@ class Machine:
         if memory.race_detection and cell.has_na_write:
             memory.check_read_race(loc, th.tid, th.view, False)
         model.pre_access(memory, th, mode)
-        msg = cell.latest
+        msg = self._read = cell.latest
         self._rmw_write(th, op, cell, msg, compute(msg.val), op.commit, mode)
         model.post_access(memory, th, mode)
         return msg.val
@@ -365,9 +496,12 @@ class Machine:
         assert ts == len(cell.history)
         th.view = th.view.extend(loc, ts)
         if commit is not None:
+            if self._records is not None:
+                self._at_hook = _state(th, memory)
             commit(CommitCtx(self, th, op, msg_read=read_msg, ts_written=ts,
                              value_read=read_msg.val))
-        mview = model.released_view(memory, th, loc, ts, mode, read_msg.view)
+        mview = self._sealed = model.released_view(memory, th, loc, ts,
+                                                   mode, read_msg.view)
         return memory.append(loc, new_val, mview, th.tid, th.clock, False)
 
     # -- fences and the rest ------------------------------------------------

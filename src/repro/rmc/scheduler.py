@@ -32,6 +32,13 @@ class Decider:
     #: The machine computes footprints only when the getter is called.
     wants_footprints = False
 
+    #: Deciders that set this keep a ``records`` list: the machine
+    #: appends a `repro.rmc.machine.StepRecord` per step it executes,
+    #: and first fast-forwards through the records the list already
+    #: holds — steps of an earlier replay of the same program, under the
+    #: decisions ``trace`` already holds (`repro.rmc.dpor`).
+    wants_records = False
+
     def __init__(self) -> None:
         self.trace: List[Choice] = []
 
