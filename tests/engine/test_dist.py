@@ -388,18 +388,24 @@ class TestHandshake:
 
 class TestDistEquivalence:
     def test_two_nodes_match_serial(self):
+        """Two nodes share the shards and the merge equals serial.  The
+        run settles in milliseconds, so shard 0's first attempt is held
+        (beating) until the second node has joined too."""
         serial = _serial_report()
-        coord = Coordinator(_engine_params(), hw_spec(),
-                            DistParams(lease_seconds=5.0,
-                                       node_wait_seconds=20.0))
-        thread, box = _serve_async(coord)
-        workers = [threading.Thread(
-            target=run_node, args=(coord.host, coord.port),
-            kwargs={"node_id": f"n{i}", "emit": lambda *_: None},
-            daemon=True) for i in range(2)]
-        for w in workers:
-            w.start()
-        thread.join(timeout=JOIN_TIMEOUT)
+        plan = FaultPlan((Fault("hedge.slow_worker", "delay", shard=0,
+                                attempt=1, delay_seconds=1.0),))
+        with plan:
+            coord = Coordinator(_engine_params(), hw_spec(),
+                                DistParams(lease_seconds=5.0,
+                                           node_wait_seconds=20.0))
+            thread, box = _serve_async(coord)
+            workers = [threading.Thread(
+                target=run_node, args=(coord.host, coord.port),
+                kwargs={"node_id": f"n{i}", "emit": lambda *_: None},
+                daemon=True) for i in range(2)]
+            for w in workers:
+                w.start()
+            thread.join(timeout=JOIN_TIMEOUT)
         assert "result" in box, "coordinator never settled"
         result = box["result"]
         assert_reports_equal(result.report, serial)
