@@ -50,8 +50,8 @@ import errno
 import os
 import tempfile
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from .faults import io_fault_actions
 

@@ -26,7 +26,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 from ..core.spec_styles import SpecStyle, check_style
 from ..rmc.explore import explore_all, explore_random
 from ..rmc.machine import ExecutionResult
-from .executor import program_styles, scenario_for
+from .executor import scenario_for
 from .grammar import FuzzProgram, LibInstance
 
 #: (kind, style-name-or-None) — the identity of a failure class.

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from ..core.event import EMPTY, Exchange, FAILED, Pop, Push
+from ..core.event import Exchange, FAILED, Pop, Push
 from ..core.graph import Graph
 from ..core.event import Event
 from ..rmc.memory import Memory

@@ -45,7 +45,6 @@ the event sink (`repro.engine.telemetry`) of a job's run.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set
