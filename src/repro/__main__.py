@@ -386,6 +386,8 @@ def cmd_service(args) -> int:
         return 2
     if verb == "serve":
         from .service import CampaignDaemon, ServiceConfig
+        retries = {} if args.max_retries is None else {
+            "max_retries": args.max_retries}
         config = ServiceConfig(
             data_dir=args.data_dir, host=args.host,
             api_port=args.api_port or 0, node_port=args.node_port,
@@ -393,7 +395,7 @@ def cmd_service(args) -> int:
             lease_seconds=args.lease_seconds,
             node_wait_seconds=args.node_wait,
             crash_loop_window=args.crash_loop_window,
-            max_retries=args.max_retries, progress=args.progress)
+            progress=args.progress, **retries)
         return CampaignDaemon(config).run()
     client = _service_client(args)
     if client is None:
@@ -621,7 +623,7 @@ def main(argv=None) -> int:
                              "(docs/memory_model.md; default orc11; "
                              "replay: verified against the model "
                              "recorded in each corpus entry)")
-    engine.add_argument("--max-retries", type=int, default=2,
+    engine.add_argument("--max-retries", type=int, default=None,
                         metavar="N",
                         help="per-shard retry budget before the shard is "
                              "declared failed (jittered exponential "

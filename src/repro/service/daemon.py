@@ -74,7 +74,7 @@ class ServiceConfig:
     node_wait_seconds: float = 30.0
     #: Crash-loop guard window; 0 disables the startup backoff.
     crash_loop_window: float = 60.0
-    max_retries: int = 2
+    max_retries: int = EngineParams.max_retries
     progress: bool = False
 
     @property

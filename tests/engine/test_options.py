@@ -69,3 +69,54 @@ def test_wire_round_trip():
     assert set(wire) == set(WIRE_FIELDS)
     assert wire["target_shards"] == 5
     assert EngineParams.from_wire(wire) == params
+
+
+#: What `_dist_campaign` sets itself for ``serve`` and ``service submit``.
+CAMPAIGN_FIELDS = ("styles", "exhaustive", "seed", "target_shards")
+
+
+def parsed_args(monkeypatch, argv):
+    """The namespace ``python -m repro <argv>`` hands its command."""
+    from repro import __main__ as cli
+    seen = {}
+
+    def capture(args):
+        seen["args"] = args
+        return 0
+
+    monkeypatch.setitem(cli.COMMANDS, argv[0], capture)
+    assert cli.main(argv) == 0
+    return seen["args"]
+
+
+def test_unset_engine_flags_keep_the_engine_defaults(monkeypatch):
+    from repro import __main__ as cli
+    defaults = EngineParams()
+    for command in ("mp", "spsc", "elim"):
+        options = cli._engine_options(parsed_args(monkeypatch, [command]))
+        assert EngineParams(**options) == defaults, command
+    for argv in (["serve"], ["service", "submit"]):
+        _spec, params = cli._dist_campaign(parsed_args(monkeypatch, argv))
+        for f in dataclasses.fields(EngineParams):
+            if f.name not in CAMPAIGN_FIELDS:
+                assert getattr(params, f.name) == getattr(defaults, f.name), \
+                    (argv, f.name)
+
+
+def test_service_serve_keeps_the_engine_retry_budget(monkeypatch):
+    import repro.service
+    from repro import __main__ as cli
+    seen = {}
+
+    class Daemon:
+        def __init__(self, config):
+            seen["config"] = config
+
+        def run(self):
+            return 0
+
+    monkeypatch.setattr(repro.service, "CampaignDaemon", Daemon)
+    assert cli.main(["service", "serve"]) == 0
+    assert seen["config"].max_retries == EngineParams().max_retries
+    assert cli.main(["service", "serve", "--max-retries", "5"]) == 0
+    assert seen["config"].max_retries == 5
