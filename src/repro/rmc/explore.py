@@ -5,7 +5,12 @@ program by *replay*: each execution is rerun from scratch under a
 `repro.rmc.scheduler.PrefixDecider`; the recorded trace of
 ``(arity, chosen)`` pairs identifies the rightmost decision with an untried
 sibling, which becomes the next prefix.  This is classic stateless model
-checking (generators cannot be snapshotted, so replay is the honest way).
+checking: a generator cannot be copied, and commit hooks close over
+generator-local objects, so every execution rebuilds the program and
+re-runs its threads.  The DPOR explorer (`repro.rmc.dpor`) makes the
+prefix a replay shares with the previous one cheap: there thread code
+and hooks run again, but the memory-model effects are taken from the
+previous replay's step records (`repro.rmc.machine.Machine._forward`).
 
 It plays the role the Coq proofs play in the paper: instead of proving a
 consistency condition for *all* executions, we enumerate all executions of

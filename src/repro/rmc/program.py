@@ -24,9 +24,13 @@ Example (the classic message-passing litmus)::
 
     prog = Program(setup, [producer, consumer])
 
-Because a generator cannot be rewound, explorers take a *program factory*
-when they need to run many executions; :class:`Program` itself is reusable
-as long as ``setup`` and the thread functions are (plain functions are).
+Because a generator cannot be rewound or copied, explorers take a *program
+factory* and build a fresh program for every execution; :class:`Program`
+itself is reusable as long as ``setup`` and the thread functions are
+(plain functions are).  A DPOR replay still re-runs the thread code of
+the prefix it shares with the previous replay, but takes that prefix's
+memory-model effects from the previous replay (docs/dpor.md, "Prefix
+fast-forward").
 """
 
 from __future__ import annotations
