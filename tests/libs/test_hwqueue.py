@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.core import EMPTY, SpecStyle, check_style
+from repro.checking.matrix import default_implementations
+from repro.core import EMPTY, Deq, Enq, SpecStyle, check_style
 from repro.libs import HWQueue
 from repro.rmc import Program, RandomDecider, explore_all, explore_random
+from repro.rmc.explore import replay
 
 
 def prog(threads, capacity=8):
@@ -129,3 +131,61 @@ class TestConcurrent:
         for r in explore_random(prog([p, c, c]), runs=200, seed=6):
             got = [r.returns[1], r.returns[2]]
             assert got.count("x") <= 1
+
+
+class TestHistWitness:
+    """Exhaustive exploration refutes ``LAT_hb^hist`` for the relaxed
+    queue's ``try_dequeue``.
+
+    The catalogue row hw-queue/rlx on ``scenario(3, 3, 2)`` fails
+    ``LAT_hb^hist`` (``HIST-EXISTS``) on 225 of its first 2000 DPOR
+    executions; this is the first of them (execution 11).  Thread 1
+    enqueues 102 into slot 1 and later starts a ``try_dequeue`` that
+    reads ``back`` = 2, so it scans slots 0 and 1 only.  Meanwhile
+    thread 2 enqueues 103 into slot 2 and then dequeues 102 from slot 1,
+    so thread 1's scan finds both slots empty and returns EMPTY.  An
+    empty queue at that dequeue needs 102 removed first, hence 103
+    enqueued first, and 103 is never dequeued: no lhb-respecting order
+    interprets.  The single scan is at fault, not weak memory: the sc
+    model's DPOR tree of the same scenario has executions of this shape
+    too.  ``LAT_hb`` holds, because QUEUE-EMPDEQ only asks that every
+    enqueue in the empty dequeue's logical view was dequeued in the
+    commit-order prefix.
+    """
+
+    TRACE = [(3, 0), (3, 0), (1, 0), (3, 0), (3, 0), (3, 0), (1, 0),
+             (3, 0), (3, 0), (3, 0), (2, 0), (2, 0), (2, 0), (2, 0),
+             (1, 0), (2, 0), (2, 0), (2, 0), (1, 0), (2, 0), (2, 1),
+             (2, 1), (3, 0), (2, 1), (2, 1), (2, 1), (2, 1), (2, 1),
+             (1, 0), (2, 1), (2, 1), (1, 0), (1, 0)]
+
+    def graph(self):
+        impl, = [i for i in default_implementations()
+                 if i.name == "hw-queue/rlx"]
+        scenario = impl.scenario(3, 3, 2)
+        result = replay(scenario.factory, self.TRACE)
+        assert result.ok
+        case, = scenario.extract(result)
+        return case.graph
+
+    def test_hist_refuted_and_lat_hb_holds(self):
+        g = self.graph()
+        hist = check_style(g, "queue", SpecStyle.LAT_HB_HIST)
+        assert [v.rule for v in hist.violations] == ["HIST-EXISTS"]
+        assert check_style(g, "queue", SpecStyle.LAT_HB).ok
+
+    def test_witness_shape(self):
+        g = self.graph()
+        by_kind = {ev.kind: ev for ev in g.events.values()}
+        enq102, enq103 = by_kind[Enq(102)], by_kind[Enq(103)]
+        deq102 = by_kind[Deq(102)]
+        empty = [ev for ev in g.events.values()
+                 if ev.kind == Deq(EMPTY) and ev.thread == enq102.thread
+                 and ev.commit_index > enq102.commit_index]
+        assert len(empty) == 1
+        # 102 precedes the empty dequeue, 103 precedes 102's dequeue.
+        assert g.lhb(enq102.eid, empty[0].eid)
+        assert enq103.thread == deq102.thread != enq102.thread
+        assert g.lhb(enq103.eid, deq102.eid)
+        # 103 is never dequeued.
+        assert not g.so_partners(enq103.eid)
