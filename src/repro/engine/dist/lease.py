@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set
 
-from ..retry import BACKOFF_BASE, jittered_backoff
+from ..retry import jittered_backoff
 
 PENDING = "pending"
 LEASED = "leased"
@@ -68,15 +68,11 @@ class LeaseTable:
     """Coordinator-side truth about every shard's lease state."""
 
     def __init__(self, n_shards: int, max_retries: int = 2,
-                 lease_seconds: float = 10.0,
-                 backoff_base: float = BACKOFF_BASE,
-                 backoff_cap: float = 5.0, token_floor: int = 0,
+                 lease_seconds: float = 10.0, token_floor: int = 0,
                  on_retry: Optional[Callable[[Lease, str], None]] = None):
         self.n_shards = n_shards
         self.max_retries = max_retries
         self.lease_seconds = lease_seconds
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self._status: Dict[int, str] = {s: PENDING for s in range(n_shards)}
         self._attempts: Dict[int, int] = {s: 0 for s in range(n_shards)}
         self._excluded: Dict[int, Set[str]] = {s: set()
@@ -276,8 +272,7 @@ class LeaseTable:
             return
         self._status[sid] = PENDING
         self._eligible_at[sid] = now + jittered_backoff(
-            self._attempts[sid], self.backoff_base, self.backoff_cap,
-            key=f"lease-{sid}")
+            self._attempts[sid], key=f"lease-{sid}")
 
     def failure_reason(self, shard_id: int) -> str:
         return self._failure.get(shard_id, "")

@@ -163,7 +163,7 @@ class TestChannelFaults:
 
 class TestLeaseTable:
     def test_grant_is_idempotent_per_node(self):
-        table = LeaseTable(3, lease_seconds=10.0, backoff_base=0.0)
+        table = LeaseTable(3, lease_seconds=10.0)
         lease = table.grant("a", now=0.0)
         # A lost grant reply means the node re-asks: same lease back,
         # renewed — never a second shard it would silently abandon.
@@ -171,10 +171,11 @@ class TestLeaseTable:
         assert again is lease and again.deadline == 11.0
 
     def test_stale_token_is_fenced(self):
-        table = LeaseTable(1, lease_seconds=1.0, backoff_base=0.0)
+        table = LeaseTable(1, lease_seconds=1.0)
         old = table.grant("a", now=0.0)
         table.expire(now=5.0)  # node paused past its deadline
-        fresh = table.grant("b", now=5.0)
+        # Granted again once the requeue's backoff has passed.
+        fresh = table.grant("b", now=6.0)
         assert fresh.token > old.token
         # The resurrected node submits under the fenced-off token.
         assert table.complete(0, old.token, "a") == STALE
@@ -183,7 +184,7 @@ class TestLeaseTable:
         assert table.status(0) == DONE
 
     def test_renew_requires_exact_lease(self):
-        table = LeaseTable(1, lease_seconds=1.0, backoff_base=0.0)
+        table = LeaseTable(1, lease_seconds=1.0)
         lease = table.grant("a", now=0.0)
         assert not table.renew("b", 0, lease.token, now=0.5)
         assert not table.renew("a", 0, lease.token + 7, now=0.5)
@@ -191,16 +192,14 @@ class TestLeaseTable:
         assert lease.deadline == 1.5
 
     def test_requeue_excludes_the_failing_node(self):
-        table = LeaseTable(1, max_retries=3, lease_seconds=1.0,
-                           backoff_base=0.0)
+        table = LeaseTable(1, max_retries=3, lease_seconds=1.0)
         lease = table.grant("a", now=0.0)
         table.fail(0, lease.token, "a", now=0.0, reason="boom")
         assert table.grant("a", now=1.0) is None
         assert table.grant("a", now=1.0, live_nodes={"a"}) is not None
 
     def test_retry_budget_exhaustion_fails_the_shard(self):
-        table = LeaseTable(1, max_retries=1, lease_seconds=1.0,
-                           backoff_base=0.0)
+        table = LeaseTable(1, max_retries=1, lease_seconds=1.0)
         for attempt in (1, 2):
             lease = table.grant("a", now=float(attempt), live_nodes={"a"})
             assert lease.attempt == attempt
@@ -213,13 +212,13 @@ class TestLeaseTable:
         # Regression: with two nodes and a shard failed once on each,
         # both were excluded and neither could be granted the shard,
         # so it sat PENDING forever and the coordinator never settled.
-        table = LeaseTable(1, max_retries=3, lease_seconds=1.0,
-                           backoff_base=0.0)
+        table = LeaseTable(1, max_retries=3, lease_seconds=1.0)
         live = {"a", "b"}
-        for node in ("a", "b"):
-            lease = table.grant(node, now=0.0, live_nodes=live)
+        # Each grant comes after the previous failure's backoff.
+        for now, node in ((0.0, "a"), (0.5, "b")):
+            lease = table.grant(node, now=now, live_nodes=live)
             assert lease is not None
-            table.fail(0, lease.token, node, now=0.0, reason="boom")
+            table.fail(0, lease.token, node, now=now, reason="boom")
         assert table.status(0) == PENDING
         # Strict grants still honour the exclusion...
         assert table.grant("a", now=1.0) is None
@@ -228,8 +227,7 @@ class TestLeaseTable:
         assert lease is not None and lease.attempt == 3
 
     def test_partial_exclusion_still_waits_for_the_clean_node(self):
-        table = LeaseTable(1, max_retries=3, lease_seconds=1.0,
-                           backoff_base=0.0)
+        table = LeaseTable(1, max_retries=3, lease_seconds=1.0)
         lease = table.grant("a", now=0.0, live_nodes={"a", "b"})
         table.fail(0, lease.token, "a", now=0.0, reason="boom")
         # "b" is live and not excluded: "a" must not take the shard.
@@ -237,7 +235,7 @@ class TestLeaseTable:
         assert table.grant("b", now=1.0, live_nodes={"a", "b"}) is not None
 
     def test_release_node_requeues_all_its_leases(self):
-        table = LeaseTable(4, lease_seconds=10.0, backoff_base=0.0)
+        table = LeaseTable(4, lease_seconds=10.0)
         a1, a2 = table.grant("a", 0.0), table.grant("b", 0.0)
         lost = table.release_node("a", now=0.0)
         assert [l.shard_id for l in lost] == [a1.shard_id]
