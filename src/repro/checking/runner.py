@@ -226,12 +226,38 @@ class ScenarioReport:
         return "\n".join(lines)
 
 
+#: Most distinct graphs one run's table keeps (`record_result`'s
+#: ``graphs``); a graph first seen after that is checked unshared.  Each
+#: kept graph pins its events, views and spec-check parts.
+GRAPH_TABLE_CAP = 1024
+
+
+def _first_graph(graphs: Dict, case: GraphCase) -> Graph:
+    """The run's first graph equal to ``case.graph``, kept in ``graphs``.
+
+    The key holds the events in commit order and the ``so`` pairs in
+    their iteration order, so every collection a spec check walks
+    iterates alike on both graphs and their reports are byte-identical.
+    """
+    graph = case.graph
+    to = case.to
+    key = (case.kind, None if to is None else tuple(to),
+           tuple(graph.events.values()), tuple(graph.so))
+    first = graphs.get(key)
+    if first is not None:
+        return first
+    if len(graphs) < GRAPH_TABLE_CAP:
+        graphs[key] = graph
+    return graph
+
+
 def record_result(
     report: ScenarioReport,
     scenario: Scenario,
     result: ExecutionResult,
     styles: Sequence[SpecStyle],
     sink=None,
+    graphs: Optional[Dict] = None,
 ) -> None:
     """Check one execution into ``report`` (shared serial/worker path).
 
@@ -239,6 +265,13 @@ def record_result(
     ``record(kind, style, trace, violation)`` method (see
     `repro.engine.corpus.CorpusSink`); it receives every failing
     decision trace — spec violation, race, or outcome failure.
+
+    ``graphs`` is the run's table of distinct graphs, a fresh dict per
+    exhaustive run (whose executions repeat library-level graphs): a
+    case whose graph equals one checked earlier in the run is checked
+    against that earlier `Graph`, so its spec-check parts come from the
+    earlier graph's `parts` memo.  Without it every graph is checked on
+    its own, the reference path.
     """
     report.executions += 1
     report.steps += result.steps
@@ -265,10 +298,12 @@ def record_result(
         for key, val in scenario.metrics(result).items():
             report.metrics[key] = report.metrics.get(key, 0) + val
     for case in scenario.extract(result):
+        graph = (case.graph if graphs is None
+                 else _first_graph(graphs, case))
         for style in styles:
             if case.styles is not None and style not in case.styles:
                 continue
-            res = check_style(case.graph, case.kind, style, to=case.to)
+            res = check_style(graph, case.kind, style, to=case.to)
             report.styles[style].record(res.ok, res.violations,
                                         result.trace)
             if not res.ok and sink is not None:
@@ -441,8 +476,10 @@ def check_scenario(scenario: Scenario, spec=None,
                                 seed=params.seed,
                                 max_steps=params.max_steps,
                                 model=params.model)
+    graphs = {} if params.exhaustive else None
     for result in source:
-        record_result(report, scenario, result, params.styles)
+        record_result(report, scenario, result, params.styles,
+                      graphs=graphs)
         if report.executions >= params.max_executions:
             break
     report.pruned_subtrees = dstats.pruned_subtrees

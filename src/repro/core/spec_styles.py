@@ -165,9 +165,10 @@ def check_style(
     """Check one execution's event graph against one spec style.
 
     The parts several styles share — well-formedness, the consistency
-    conditions, the abstract replay and the so view transfer — are
-    computed once per graph (`Graph.parts`), whatever order the styles
-    are checked in.
+    conditions, the abstract replay and the so view transfer — and the
+    linearizability check under a given ``to`` are computed once per
+    graph (`Graph.parts`), whatever order the styles are checked in and
+    however often the same graph is checked again.
     """
     violations = list(_shared(graph, "wellformed", _wellformedness))
     if style is SpecStyle.SEQ or style is SpecStyle.LAT_SO_ABS:
@@ -183,7 +184,10 @@ def check_style(
             violations.extend(_shared(graph, ("abs", kind, False),
                                       _abstract_replay, kind, False))
         elif style is SpecStyle.LAT_HB_HIST:
-            violations.extend(check_linearizable_history(graph, kind, to=to))
+            order = None if to is None else tuple(to)
+            violations.extend(_shared(graph, ("hist", kind, order),
+                                      check_linearizable_history, kind,
+                                      to))
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown style {style}")
     return CheckResult(style=style, violations=violations)

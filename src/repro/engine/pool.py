@@ -123,13 +123,15 @@ def _explore_shard(scenario: Scenario, spec: Optional[ScenarioSpec],
             beat.beat(shard_id, 0)
     start = time.perf_counter()
     dstats = DporStats()
+    graphs = {} if params.exhaustive else None
     for result in iter_shard(scenario.factory, shard, params.max_steps,
                              params.max_executions,
                              dpor=params.dpor_on(), stats=dstats,
                              model=params.model):
         fault_point("worker.explore", shard=shard_id, attempt=attempt,
                     execs=report.executions + 1)
-        record_result(report, scenario, result, params.styles, sink)
+        record_result(report, scenario, result, params.styles, sink,
+                      graphs)
         if beat is not None:
             beat.beat(shard_id, report.executions)
         if report.executions >= params.max_executions:
