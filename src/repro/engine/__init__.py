@@ -53,8 +53,7 @@ from .pool import (EngineParams, EngineResult, ResultCorrupt, ShardFailed,
 from .registry import (ScenarioSpec, build_scenario, register_scenario,
                        registered_builders)
 from .shard import (SHARDS_PER_WORKER, Shard, iter_shard,
-                    plan_exhaustive_shards, plan_exhaustive_shards_dpor,
-                    plan_random_shards)
+                    plan_exhaustive_shards, plan_random_shards)
 from .telemetry import Event, ProgressReporter, TelemetrySummary
 from .vfs import (DurableWriteError, IoOp, OsVFS, TraceVFS,
                   atomic_write_bytes, atomic_write_text, get_vfs, install)
@@ -63,8 +62,7 @@ __all__ = [
     "EngineParams", "EngineResult", "ShardFailed", "ResultCorrupt",
     "run_scenario", "plan_shards_ex",
     "DEFAULT_SHARD_TIMEOUT",
-    "Shard", "iter_shard", "plan_exhaustive_shards",
-    "plan_exhaustive_shards_dpor", "plan_random_shards",
+    "Shard", "iter_shard", "plan_exhaustive_shards", "plan_random_shards",
     "SHARDS_PER_WORKER",
     "merge_reports", "report_to_json", "report_from_json",
     "tally_to_json", "tally_from_json", "trace_from_json",

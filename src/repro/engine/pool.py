@@ -60,8 +60,7 @@ from .merge import merge_reports, report_from_json, report_to_json
 from .registry import ScenarioSpec, build_scenario
 from ..rmc.dpor import DporStats
 from .shard import (SHARDS_PER_WORKER, Shard, iter_shard,
-                    plan_exhaustive_shards, plan_exhaustive_shards_dpor,
-                    plan_random_shards)
+                    plan_exhaustive_shards, plan_random_shards)
 from .telemetry import Event, ProgressReporter, TelemetrySummary
 
 #: How long an idle local node waits before asking again for work.
@@ -184,7 +183,7 @@ def plan_shards_ex(scenario: Scenario,
 
     Returns ``(shards, planner_gaps)``: under DPOR the planner itself
     prunes asleep branches at nodes it pins into shard prefixes (see
-    `repro.engine.shard.plan_exhaustive_shards_dpor`).  ``planner_gaps``
+    `repro.engine.shard.plan_exhaustive_shards`).  ``planner_gaps``
     holds those prunes per gap between shards (``len(shards) + 1``
     entries, all zero without DPOR); the merge folds in the gaps a
     serial run would have reached, so serial and sharded reports agree.
@@ -197,21 +196,14 @@ def plan_shards_ex(scenario: Scenario,
             target = 1  # no pool, no resume: skip planning probes
         elif params.checkpoint is not None:
             target = max(target, 2 * SHARDS_PER_WORKER)
-    if params.exhaustive:
-        if target == 1:
-            return [Shard(kind="prefix")], [0, 0]
-        if params.dpor_on():
-            gaps: List[int] = []
-            shards, _total = plan_exhaustive_shards_dpor(
-                scenario.factory, target, params.max_steps, gaps=gaps,
-                model=params.model)
-            return shards, gaps
-        shards = plan_exhaustive_shards(scenario.factory, target,
-                                        params.max_steps,
-                                        model=params.model)
-    else:
+    if not params.exhaustive:
         shards = plan_random_shards(params.runs, params.seed, target)
-    return shards, [0] * (len(shards) + 1)
+        return shards, [0] * (len(shards) + 1)
+    gaps: List[int] = []
+    shards, _total = plan_exhaustive_shards(
+        scenario.factory, target, params.max_steps, model=params.model,
+        gaps=gaps, dpor=params.dpor_on())
+    return shards, gaps
 
 
 def execution_cut(results: Dict[int, Tuple[ScenarioReport, List]],

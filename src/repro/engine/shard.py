@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from ..rmc.dpor import (DporStats, SleepSetCut, SleepSetDecider,
-                        explore_all_dpor, independent)
+                        child_sleep, explore_all_dpor)
 from ..rmc.explore import ProgramFactory, explore_all, explore_random
 from ..rmc.machine import ExecutionResult
 from ..rmc.ops import Footprint
@@ -50,8 +50,8 @@ class Shard:
 
     ``sleep`` is the subtree root's inherited sleep set under DPOR
     (`repro.rmc.dpor`): the pending-op footprints of threads whose step
-    at the root is already covered by an earlier shard.  Empty for naive
-    planning, and omitted from the JSON form when empty so pre-DPOR
+    at the root is already covered by an earlier shard.  Empty when DPOR
+    is off, and omitted from the JSON form when empty so pre-DPOR
     checkpoints keep their shard encoding.
     """
 
@@ -93,56 +93,25 @@ def plan_exhaustive_shards(
     target: int,
     max_steps: int,
     model=None,
-) -> List[Shard]:
+    gaps: Optional[List[int]] = None,
+    dpor: bool = True,
+) -> Tuple[List[Shard], int]:
     """Split the decision tree into >= ``target`` disjoint subtrees
     (when the tree is big enough), by breadth-first prefix expansion.
 
     Invariant: at every moment ``frontier + done`` is a partition of the
-    full tree, so the returned shards always cover the serial enumeration
+    tree, so the returned shards always cover the serial enumeration
     exactly once regardless of where expansion stops.
-    """
-    frontier: List[Tuple[int, ...]] = [()]
-    done: List[Tuple[int, ...]] = []  # single-execution subtrees
-    probes = 0
-    while frontier and len(frontier) + len(done) < target \
-            and probes < PROBE_CAP:
-        prefix = frontier.pop(0)  # shallowest first
-        if len(prefix) >= MAX_SPLIT_DEPTH:
-            done.append(prefix)
-            continue
-        decider = PrefixDecider(prefix)
-        factory().run(decider, max_steps=max_steps, model=model)
-        probes += 1
-        trace = decider.trace
-        branch = next((i for i in range(len(prefix), len(trace))
-                       if trace[i][0] > 1), None)
-        if branch is None:
-            # No choice left below this prefix: a one-execution subtree.
-            done.append(prefix)
-            continue
-        stem = tuple(trace[i][1] for i in range(len(prefix), branch))
-        arity = trace[branch][0]
-        frontier.extend(prefix + stem + (k,) for k in range(arity))
-    prefixes = sorted(done + frontier)
-    return [Shard(kind="prefix", prefix=p) for p in prefixes]
 
-
-def plan_exhaustive_shards_dpor(
-    factory: ProgramFactory,
-    target: int,
-    max_steps: int,
-    model=None,
-    gaps: Optional[List[int]] = None,
-) -> Tuple[List[Shard], int]:
-    """DPOR-aware counterpart of :func:`plan_exhaustive_shards`.
-
-    Splits the *reduced* decision tree into >= ``target`` disjoint
-    subtrees.  Probes descend leftmost-awake under a `SleepSetDecider`,
-    and each frontier node carries the sleep set the serial DPOR
-    enumeration would have on entering it — the sleep set is a pure
-    function of the path, so shipping it inside the `Shard` makes the
-    sharded union *exactly* the serial DPOR enumeration, prune for
-    prune.
+    With ``dpor`` the *reduced* tree is split: probes descend
+    leftmost-awake under a `SleepSetDecider`, and each frontier node
+    carries the sleep set the serial DPOR enumeration would have on
+    entering it (`child_sleep`) — the sleep set is a pure function of
+    the path, so shipping it inside the `Shard` makes the sharded union
+    *exactly* the serial DPOR enumeration, prune for prune.  Without it
+    probes run under a `PrefixDecider`, which records no footprints, so
+    every decision is planned like a read decision: every branch awake,
+    nothing pruned.
 
     Returns ``(shards, planner_pruned)``.  ``planner_pruned`` counts the
     asleep branches at nodes the planner pinned into shard prefixes
@@ -172,16 +141,22 @@ def plan_exhaustive_shards_dpor(
         if len(prefix) >= MAX_SPLIT_DEPTH:
             done.append((prefix, sleep))
             continue
-        decider = SleepSetDecider(prefix, pin=len(prefix),
-                                  entry_sleep={fp.thread: fp
-                                               for fp in sleep})
+        if dpor:
+            decider = SleepSetDecider(prefix, pin=len(prefix),
+                                      entry_sleep={fp.thread: fp
+                                                   for fp in sleep})
+        else:
+            decider = PrefixDecider(prefix)
         try:
             factory().run(decider, max_steps=max_steps, model=model)
         except SleepSetCut:
             pass  # the whole residue is redundant; the shard recounts it
         probes += 1
-        trace, fps, sleeps = (decider.trace, decider.footprints,
-                              decider.entry_sleeps)
+        trace = decider.trace
+        if dpor:
+            fps, sleeps = decider.footprints, decider.entry_sleeps
+        else:
+            fps, sleeps = [None] * len(trace), [{}] * len(trace)
         split: Optional[int] = None
         for i in range(len(prefix), len(trace)):
             n = trace[i][0]
@@ -207,22 +182,17 @@ def plan_exhaustive_shards_dpor(
             if fps[i] is not None:
                 pruned.extend(path[:i] + (k,) for k in range(trace[i][0])
                               if k != path[i])
-        arity = trace[split][0]
-        f = fps[split]
-        if f is None:
-            frontier.extend((path + (k,), sleep_tuple(sleeps[split]))
-                            for k in range(arity))
-            continue
-        sleep_now = dict(sleeps[split])
-        for k in range(arity):
-            fk = f[k]
-            if fk.thread in sleep_now:
+        f, entry = fps[split], sleeps[split]
+        for k in range(trace[split][0]):
+            if f is None:
+                child = entry
+            elif f[k].thread in entry:
                 pruned.append(path + (k,))  # asleep at the split
                 continue
-            child = {t: fu for t, fu in sleep_now.items()
-                     if independent(fu, fk)}
-            frontier.append((path + (k,), sleep_tuple(child)))
-            sleep_now[fk.thread] = fk
+            else:
+                child = child_sleep(f, k, entry)
+            frontier.append((path + (k,),
+                             tuple(child[t] for t in sorted(child))))
     pairs = sorted(done + frontier, key=lambda item: item[0])
     if gaps is not None:
         prefixes = [p for p, _s in pairs]
@@ -231,13 +201,6 @@ def plan_exhaustive_shards_dpor(
             gaps[bisect_left(prefixes, point)] += 1
     return ([Shard(kind="prefix", prefix=p, sleep=s) for p, s in pairs],
             len(pruned))
-
-
-def sleep_tuple(sleep) -> Tuple[Footprint, ...]:
-    """A sleep dict/tuple as a canonical (thread-ordered) tuple."""
-    if isinstance(sleep, dict):
-        return tuple(sleep[t] for t in sorted(sleep))
-    return tuple(sorted(sleep, key=lambda fp: fp.thread))
 
 
 def plan_random_shards(runs: int, seed: int, target: int) -> List[Shard]:

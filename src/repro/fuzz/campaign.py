@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..engine.corpus import CORPUS_CAP, CorpusEntry, append_entries
 from ..engine.registry import ScenarioSpec
-from ..rmc.explore import explore_all_dpor, explore_random
+from ..engine.shard import Shard, iter_shard
 from .executor import scenario_for
 from .grammar import (FuzzProgram, GrammarConfig, SIGNATURES, derive_rng,
                       generate_program)
@@ -188,18 +188,13 @@ def run_case(params: FuzzParams, index: int) -> CaseOutcome:
     fp = generate_program(params.seed, index, params.config)
     scenario = scenario_for(fp)
     outcome = CaseOutcome(index=index, digest=fp.digest(), program=fp)
-    if params.exhaustive:
-        source = explore_all_dpor(scenario.factory,
-                                  max_steps=params.max_steps,
-                                  max_executions=params.max_case_executions,
-                                  model=params.model)
-    else:
-        source = explore_random(scenario.factory, runs=params.per_case,
-                                seed=case_explore_seed(params.seed, index),
-                                max_steps=params.max_steps,
-                                model=params.model)
+    shard = Shard(kind="prefix") if params.exhaustive else Shard(
+        kind="seeds", seed=case_explore_seed(params.seed, index),
+        runs=params.per_case)
     seen: set = set()
-    for result in source:
+    for result in iter_shard(scenario.factory, shard, params.max_steps,
+                             params.max_case_executions, dpor=True,
+                             model=params.model):
         outcome.executions += 1
         outcome.steps += result.steps
         if result.race is not None:

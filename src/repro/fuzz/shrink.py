@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from ..core.spec_styles import SpecStyle, check_style
-from ..rmc.explore import explore_all, explore_random
+from ..engine.shard import Shard, iter_shard
 from ..rmc.machine import ExecutionResult
 from .executor import scenario_for
 from .grammar import FuzzProgram, LibInstance
@@ -96,17 +96,15 @@ def exploration_oracle(runs: int, seed: int, max_steps: int,
     randomized exploration uses the fixed ``seed``, exhaustive
     exploration enumerates in DFS order (no DPOR — the oracle must not
     trust the reduction it may be used to debug)."""
+    shard = Shard(kind="prefix") if exhaustive else Shard(
+        kind="seeds", seed=seed, runs=runs)
+
     def check(fp: FuzzProgram) -> Optional[Failure]:
         if fp.op_count() == 0:
             return None
         scenario = scenario_for(fp)
-        if exhaustive:
-            source = explore_all(scenario.factory, max_steps=max_steps,
-                                 max_executions=max_executions, model=model)
-        else:
-            source = explore_random(scenario.factory, runs=runs, seed=seed,
-                                    max_steps=max_steps, model=model)
-        for result in source:
+        for result in iter_shard(scenario.factory, shard, max_steps,
+                                 max_executions, dpor=False, model=model):
             failure = failure_of(scenario, result, want)
             if failure is not None:
                 return failure

@@ -6,16 +6,17 @@ Public surface:
 * operations yielded by thread coroutines: `Load`, `Store`, `Cas`,
   `Faa`, `Xchg`, `Fence`, `Alloc`, `GhostCommit`
 * `Program` + `Machine.run` / `Program.run` for single executions
-* `explore_all` / `explore_random` / `check_all` / `replay` for
-  execution-space exploration
+* `explore_all` / `explore_random` / `replay` for execution-space
+  exploration, and `explore_all_dpor` (`repro.rmc.dpor`) for the
+  sleep-set-reduced exhaustive enumeration; checking every execution
+  is `repro.checking.check_scenario`'s job
 * `View`, `Memory`, `Message` for the Compass layer and for tests
 * the litmus catalogue (`repro.rmc.litmus`) validating the model
 """
 
 from .dpor import (DporStats, SleepSetCut, SleepSetDecider, child_sleep,
                    explore_all_dpor, independent)
-from .explore import (ExplorationStats, check_all, explore_all,
-                      explore_random, replay)
+from .explore import explore_all, explore_random, replay
 from .machine import CommitCtx, ExecutionResult, Machine, ThreadState, run
 from .memory import Memory
 from .message import Location, Message
@@ -35,8 +36,7 @@ __all__ = [
     "ThreadState",
     "Decider", "RandomDecider", "PrefixDecider", "FixedDecider",
     "RoundRobinDecider",
-    "explore_all", "explore_random", "check_all", "replay",
-    "ExplorationStats",
+    "explore_all", "explore_random", "replay",
     "explore_all_dpor", "DporStats", "SleepSetDecider", "SleepSetCut",
     "independent", "child_sleep", "Footprint", "op_footprint",
     "Memory", "Message", "Location", "View", "EMPTY_VIEW", "join_all",

@@ -142,7 +142,7 @@ class SleepSetDecider(Decider):
     decider records, per decision, the branch footprints (None for read
     decisions) and the sleep set *on entry* to the node, which is what
     the backtracking sweep in :func:`explore_all_dpor` and the shard
-    planner (`repro.engine.shard.plan_exhaustive_shards_dpor`) consume.
+    planner (`repro.engine.shard.plan_exhaustive_shards`) consume.
 
     Both are pure functions of the decisions above the node, so when
     :func:`explore_all_dpor` hands over the previous replay's records
@@ -278,11 +278,11 @@ def _next_prefix(decider: SleepSetDecider, base_len: int,
     """The deepest unexplored *awake* sibling, as a replay prefix.
 
     The sleep-set analogue of ``explore_all``'s rightmost-untried-sibling
-    sweep: walking up from the deepest decision, reconstruct the sleep
-    set the node would hand each remaining sibling (entry sleep plus all
-    earlier branches put to sleep) and skip — counting as pruned —
-    siblings whose thread is asleep.  Backtracking never crosses above
-    ``base_len`` (the shard-root pin).
+    sweep: walking up from the deepest decision, skip — counting as
+    pruned — the remaining siblings whose thread sleeps on entry to the
+    node.  A scheduling node's branches are distinct threads, so the
+    earlier siblings that went to sleep never cover a later one.
+    Backtracking never crosses above ``base_len`` (the shard-root pin).
     """
     trace = decider.trace
     fps = decider.footprints
@@ -296,18 +296,12 @@ def _next_prefix(decider: SleepSetDecider, base_len: int,
                 return [trace[i][1] for i in range(j)] + [c + 1]
             j -= 1
             continue
-        sleep_now = dict(sleeps[j])
-        for k in range(c):
-            t = f[k].thread
-            if t not in sleep_now:
-                sleep_now[t] = f[k]
-        sleep_now[f[c].thread] = f[c]  # the explored branch goes to sleep
+        entry = sleeps[j]
         for k in range(c + 1, n):
-            if f[k].thread in sleep_now:
-                if stats is not None:
-                    stats.pruned_subtrees += 1
-                continue
-            return [trace[i][1] for i in range(j)] + [k]
+            if f[k].thread not in entry:
+                return [trace[i][1] for i in range(j)] + [k]
+            if stats is not None:
+                stats.pruned_subtrees += 1
         j -= 1
     return None
 
@@ -334,7 +328,7 @@ def explore_all_dpor(
 
     ``prefix`` roots the enumeration at a subtree and ``sleep`` is that
     subtree root's inherited sleep set — together they are the sharding
-    hook: `repro.engine.shard.plan_exhaustive_shards_dpor` computes
+    hook: `repro.engine.shard.plan_exhaustive_shards` computes
     matching (prefix, sleep) pairs so that disjoint shards concatenate,
     in prefix order, to exactly the ``prefix=()`` enumeration.
 

@@ -20,52 +20,13 @@ scales the same checks to larger scenarios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Sequence
 
-from .dpor import DporStats, explore_all_dpor
 from .machine import ExecutionResult
 from .program import Program
 from .scheduler import FixedDecider, PrefixDecider, RandomDecider
 
 ProgramFactory = Callable[[], Program]
-
-#: Cap on stored race counterexample traces (kept small; the full set goes
-#: to the corpus when one is attached).
-RACE_TRACE_CAP = 5
-
-
-@dataclass
-class ExplorationStats:
-    """Aggregate statistics of one exploration run."""
-
-    executions: int = 0
-    complete: int = 0
-    truncated: int = 0
-    raced: int = 0
-    steps: int = 0
-    exhausted: bool = False  # True iff the whole tree was enumerated
-    race_traces: List[List] = field(default_factory=list)
-    #: Race traces not stored because :data:`RACE_TRACE_CAP` was reached
-    #: — honest accounting for the capped list above.
-    race_traces_dropped: int = 0
-    #: Branches skipped by sleep-set DPOR (`repro.rmc.dpor`); 0 for
-    #: naive enumeration.
-    pruned_subtrees: int = 0
-
-    def record(self, result: ExecutionResult) -> None:
-        self.executions += 1
-        self.steps += result.steps
-        if result.race is not None:
-            self.raced += 1
-            if len(self.race_traces) < RACE_TRACE_CAP:
-                self.race_traces.append(list(result.trace))
-            else:
-                self.race_traces_dropped += 1
-        elif result.truncated:
-            self.truncated += 1
-        else:
-            self.complete += 1
 
 
 def explore_all(
@@ -123,53 +84,6 @@ def explore_random(
         yield factory().run(decider, max_steps=max_steps,
                             race_detection=race_detection,
                             sc_upgrade=sc_upgrade, model=model)
-
-
-def check_all(
-    factory: ProgramFactory,
-    check: Callable[[ExecutionResult], None],
-    exhaustive: bool = True,
-    runs: int = 500,
-    seed: int = 0,
-    max_steps: int = 2_000,
-    max_executions: int = 200_000,
-    dpor: bool = True,
-    model=None,
-) -> ExplorationStats:
-    """Explore and apply ``check`` to every non-raced complete execution.
-
-    ``check`` should raise (e.g. ``AssertionError``) on a violation; the
-    offending execution's decision trace is replayable with
-    :func:`replay`.
-
-    ``dpor`` controls sleep-set partial-order reduction
-    (`repro.rmc.dpor`): on by default in exhaustive mode (every final
-    outcome is still checked; redundant interleavings are skipped and
-    counted in ``stats.pruned_subtrees``), ignored in randomized mode.
-    """
-    stats = ExplorationStats()
-    dstats = DporStats()
-    if exhaustive and dpor:
-        source = explore_all_dpor(factory, max_steps=max_steps,
-                                  max_executions=max_executions,
-                                  stats=dstats, model=model)
-    elif exhaustive:
-        source = explore_all(factory, max_steps=max_steps,
-                             max_executions=max_executions, model=model)
-    else:
-        source = explore_random(factory, runs=runs, seed=seed,
-                                max_steps=max_steps, model=model)
-    exhausted = True
-    for result in source:
-        stats.record(result)
-        if result.ok:
-            check(result)
-        if stats.executions >= max_executions:
-            exhausted = False
-            break
-    stats.exhausted = exhaustive and exhausted
-    stats.pruned_subtrees = dstats.pruned_subtrees
-    return stats
 
 
 def replay(factory: ProgramFactory, trace, max_steps: int = 100_000,

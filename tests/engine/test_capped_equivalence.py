@@ -17,7 +17,7 @@ Four layers pin it:
 * every cut point, deterministically: every cap up to and past the size
   of three small trees, with the cut in each shard and in each gap that
   carries DPOR planner prunes (the per-gap charges of
-  `repro.engine.shard.plan_exhaustive_shards_dpor`);
+  `repro.engine.shard.plan_exhaustive_shards`);
 * audit and hedge under a cap: every re-execution that checks a result
   must run under the cap that result was explored with, and a lie the
   audit repairs must not move the cut;
@@ -41,7 +41,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, rule,
 from repro.checking import check_scenario
 from repro.core import SpecStyle
 from repro.engine import EngineParams, ScenarioSpec, build_scenario, \
-    plan_exhaustive_shards_dpor, run_scenario
+    plan_exhaustive_shards, run_scenario
 from repro.engine.audit import AUDIT_ATTEMPT_BASE
 from repro.engine.dist import Coordinator, DistParams, run_node
 from repro.engine.faults import Fault, FaultPlan
@@ -240,7 +240,7 @@ class TestEveryCutPoint:
     def test_gap_charges_sum_to_the_planner_total(self):
         factory = build_scenario(mixed("treiber/rel-acq", 3, 1)).factory
         gaps = []
-        shards, total = plan_exhaustive_shards_dpor(
+        shards, total = plan_exhaustive_shards(
             factory, target=16, max_steps=20_000, gaps=gaps)
         assert len(gaps) == len(shards) + 1
         assert sum(gaps) == total > 0

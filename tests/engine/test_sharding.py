@@ -1,7 +1,12 @@
 """Shard planning: disjointness, coverage, and serial-order determinism."""
 
-from repro.engine import (Shard, build_scenario, iter_shard,
-                          plan_exhaustive_shards, plan_random_shards)
+import pytest
+
+from repro.core import SpecStyle
+from repro.engine import (EngineParams, ScenarioSpec, Shard, build_scenario,
+                          iter_shard, plan_exhaustive_shards,
+                          plan_random_shards, plan_shards_ex)
+from repro.engine.checkpoint import run_fingerprint
 from repro.rmc import explore_all
 
 from ._support import vyukov_spec
@@ -32,9 +37,9 @@ class TestRandomShards:
 class TestExhaustiveShards:
     def test_shards_are_disjoint_subtree_roots(self):
         scenario = build_scenario(vyukov_spec())
-        shards = plan_exhaustive_shards(scenario.factory, target=8,
-                                        max_steps=MAX_STEPS)
-        assert len(shards) >= 8
+        shards, pruned = plan_exhaustive_shards(
+            scenario.factory, target=8, max_steps=MAX_STEPS, dpor=False)
+        assert len(shards) >= 8 and pruned == 0
         prefixes = [s.prefix for s in shards]
         assert prefixes == sorted(prefixes)
         # No prefix extends another: subtrees are pairwise disjoint.
@@ -50,8 +55,8 @@ class TestExhaustiveShards:
         serial = [list(r.trace)
                   for r in explore_all(scenario.factory,
                                        max_steps=MAX_STEPS)]
-        shards = plan_exhaustive_shards(scenario.factory, target=8,
-                                        max_steps=MAX_STEPS)
+        shards, _pruned = plan_exhaustive_shards(
+            scenario.factory, target=8, max_steps=MAX_STEPS, dpor=False)
         sharded = []
         for shard in shards:
             sharded.extend(
@@ -61,16 +66,70 @@ class TestExhaustiveShards:
         assert sharded == serial
 
     def test_target_one_is_whole_tree(self):
-        scenario = build_scenario(vyukov_spec())
-        shards = plan_exhaustive_shards(scenario.factory, target=1,
-                                        max_steps=MAX_STEPS)
-        assert shards == [Shard(kind="prefix", prefix=())]
+        """At target 1 the planner returns the root without probing,
+        with DPOR on or off."""
+        factory = build_scenario(vyukov_spec()).factory
+        calls = []
+
+        def counted():
+            calls.append(1)
+            return factory()
+        for dpor in (True, False):
+            gaps = []
+            shards, pruned = plan_exhaustive_shards(
+                counted, target=1, max_steps=MAX_STEPS, gaps=gaps, dpor=dpor)
+            assert shards == [Shard(kind="prefix", prefix=())]
+            assert (pruned, gaps) == (0, [0, 0])
+        assert not calls
 
     def test_planning_is_deterministic(self):
         scenario = build_scenario(vyukov_spec())
-        a = plan_exhaustive_shards(scenario.factory, 8, MAX_STEPS)
-        b = plan_exhaustive_shards(scenario.factory, 8, MAX_STEPS)
-        assert a == b
+        for dpor in (True, False):
+            a = plan_exhaustive_shards(scenario.factory, 8, MAX_STEPS,
+                                       dpor=dpor)
+            b = plan_exhaustive_shards(scenario.factory, 8, MAX_STEPS,
+                                       dpor=dpor)
+            assert a == b
+
+
+class TestPlanPins:
+    """The planner's output is part of every checkpoint's identity:
+    `run_fingerprint` hashes the shard list, so a changed plan orphans
+    every checkpoint an earlier run wrote.  These digests were recorded
+    before DPOR-on and DPOR-off planning shared one planner."""
+
+    PINS = {
+        ("treiber/rel-acq", 3, True): "88a1c41a0e9f9842",
+        ("treiber/rel-acq", 3, False): "8361b9413b9dc3ea",
+        ("vyukov-queue/rlx", 2, True): "a5568cb4b493f674",
+        ("vyukov-queue/rlx", 2, False): "b64259611778ae7d",
+    }
+
+    @staticmethod
+    def plan(impl, threads, dpor):
+        spec = ScenarioSpec("mixed-stress", kwargs={
+            "impl": impl, "threads": threads, "ops": 1, "seed": 0})
+        scenario = build_scenario(spec)
+        params = EngineParams(styles=(SpecStyle.LAT_HB,), exhaustive=True,
+                              max_steps=400, target_shards=16, dpor=dpor)
+        shards, gaps = plan_shards_ex(scenario, params)
+        return (run_fingerprint(scenario.name, spec,
+                                params.fingerprint_json(), shards),
+                shards, gaps)
+
+    @pytest.mark.parametrize("impl,threads,dpor", sorted(PINS))
+    def test_run_fingerprint_pinned(self, impl, threads, dpor):
+        digest, shards, gaps = self.plan(impl, threads, dpor)
+        assert digest == self.PINS[impl, threads, dpor]
+        assert len(gaps) == len(shards) + 1
+        if not dpor:
+            assert not any(gaps) and not any(s.sleep for s in shards)
+
+    def test_treiber_planner_prunes_pinned(self):
+        _digest, shards, gaps = self.plan("treiber/rel-acq", 3, True)
+        assert len(shards) == 16
+        assert sum(gaps) == 18
+        assert [i for i, g in enumerate(gaps) if g] == [2, 6, 9, 12, 14]
 
 
 class TestShardSerialization:

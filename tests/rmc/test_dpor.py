@@ -9,7 +9,7 @@ import pytest
 from repro.checking import check_scenario
 from repro.core import SpecStyle
 from repro.engine import (ScenarioSpec, Shard, build_scenario, iter_shard,
-                          plan_exhaustive_shards_dpor)
+                          plan_exhaustive_shards)
 from repro.rmc import (ACQ, NA, RLX, SC, Alloc, Cas, Decider, Fence,
                        Footprint, GhostCommit, Load, Machine, Program,
                        RandomDecider, SleepSetCut, SleepSetDecider, Store,
@@ -17,7 +17,6 @@ from repro.rmc import (ACQ, NA, RLX, SC, Alloc, Cas, Decider, Fence,
 from repro.rmc import dpor
 from repro.rmc import machine as machine_mod
 from repro.rmc.dpor import DporStats, _next_prefix, independent
-from repro.rmc.explore import RACE_TRACE_CAP, ExplorationStats
 from repro.rmc.litmus import CATALOGUE, na_publication, outcomes
 from tests.conftest import assert_value_record
 from tests.engine._support import assert_reports_equal, hw_spec, vyukov_spec
@@ -275,24 +274,6 @@ class TestDifferentialQuick:
             assert serial.styles[style].ok == naive.styles[style].ok
 
 
-class _FakeResult:
-    def __init__(self, race=None, truncated=False, steps=1, trace=()):
-        self.race = race
-        self.truncated = truncated
-        self.steps = steps
-        self.trace = list(trace)
-
-
-class TestStatsDropped:
-    def test_record_counts_overflow(self):
-        stats = ExplorationStats()
-        for i in range(RACE_TRACE_CAP + 3):
-            stats.record(_FakeResult(race=ValueError("race"),
-                                     trace=[(2, i % 2)]))
-        assert len(stats.race_traces) == RACE_TRACE_CAP
-        assert stats.race_traces_dropped == 3
-
-
 class TestShardDpor:
     def test_shard_json_round_trip_with_sleep(self):
         shard = Shard(kind="prefix", prefix=(1, 0, 2),
@@ -310,7 +291,7 @@ class TestShardDpor:
         serial = [tuple(r.trace) for r in
                   explore_all_dpor(factory, max_steps=400,
                                    stats=serial_stats)]
-        shards, planner_pruned = plan_exhaustive_shards_dpor(
+        shards, planner_pruned = plan_exhaustive_shards(
             factory, target=8, max_steps=400)
         assert len(shards) >= 8
         concat = []
@@ -340,7 +321,7 @@ class TestShardDporPerModel:
         factory = CATALOGUE[name]
         serial = [tuple(r.trace) for r in
                   explore_all_dpor(factory, max_steps=400, model=model)]
-        shards, _pruned = plan_exhaustive_shards_dpor(
+        shards, _pruned = plan_exhaustive_shards(
             factory, target=4, max_steps=400, model=model)
         concat = []
         for shard in shards:
@@ -475,7 +456,7 @@ class TestReplayPrefixReuse:
                   for model in ("sc", "tso", "ra", "orc11")]
         roots = 0
         for factory, target, model in cases:
-            shards, _pruned = plan_exhaustive_shards_dpor(
+            shards, _pruned = plan_exhaustive_shards(
                 factory, target=target, max_steps=20_000, model=model)
             for shard in shards:
                 assert_reuse_equivalent(monkeypatch, factory,

@@ -4,8 +4,9 @@ import itertools
 
 import pytest
 
-from repro.rmc import (RLX, Load, Program, Store, check_all, explore_all,
-                       explore_random, replay)
+from repro.checking import Scenario, check_scenario
+from repro.rmc import (RLX, Load, Program, Store, explore_all, explore_random,
+                       replay)
 
 
 def counter_prog(n_threads):
@@ -100,25 +101,36 @@ class TestReplay:
             assert replay(factory, res.trace).returns == res.returns
 
 
-class TestCheckAll:
-    def test_check_all_exhaustive_marks_exhausted(self):
-        stats = check_all(counter_prog(2), lambda r: None)
-        assert stats.exhausted
-        assert stats.executions == 2
-        assert stats.complete == 2
+class TestOutcomeCheck:
+    """A whole-execution property is checked by `check_scenario` with a
+    `Scenario(outcome_check=...)`; every execution lands in its report."""
 
-    def test_check_all_propagates_violations(self):
+    @staticmethod
+    def scenario(n_threads, outcome_check=None):
+        return Scenario(name=f"counter{n_threads}",
+                        factory=counter_prog(n_threads),
+                        extract=lambda result: [],
+                        outcome_check=outcome_check)
+
+    def test_exhaustive_marks_exhausted(self):
+        report = check_scenario(self.scenario(2), exhaustive=True)
+        assert report.exhausted
+        assert report.executions == 2
+        assert report.complete == 2
+
+    def test_violations_are_reported(self):
         def check(result):
             raise AssertionError("boom")
-        with pytest.raises(AssertionError):
-            check_all(counter_prog(1), check)
+        report = check_scenario(self.scenario(1, check), exhaustive=True)
+        assert report.outcome_failures == 1
+        assert report.outcome_examples == ["boom"]
+        assert report.outcome_traces == [[(1, 0)]]
 
-    def test_check_all_random_mode(self):
-        stats = check_all(counter_prog(2), lambda r: None,
-                          exhaustive=False, runs=25)
-        assert stats.executions == 25
-        assert not stats.exhausted
+    def test_random_mode(self):
+        report = check_scenario(self.scenario(2), runs=25)
+        assert report.executions == 25
+        assert not report.exhausted
 
-    def test_stats_record_steps(self):
-        stats = check_all(counter_prog(2), lambda r: None)
-        assert stats.steps == 4  # 2 executions x 2 ops
+    def test_report_counts_steps(self):
+        report = check_scenario(self.scenario(2), exhaustive=True)
+        assert report.steps == 4  # 2 executions x 2 ops

@@ -23,7 +23,7 @@ import pytest
 
 from repro.checking.matrix import default_implementations
 from repro.engine import ScenarioSpec, build_scenario
-from repro.engine.shard import plan_exhaustive_shards_dpor
+from repro.engine.shard import plan_exhaustive_shards
 from repro.rmc import dpor, explore_all_dpor
 from repro.rmc import machine as machine_mod
 from repro.rmc.litmus import CATALOGUE
@@ -241,7 +241,7 @@ class TestLibraries:
 
     def test_shard_root(self, monkeypatch):
         scenario = mixed("vyukov-queue/rlx", 2, 2)
-        shards, _pruned = plan_exhaustive_shards_dpor(
+        shards, _pruned = plan_exhaustive_shards(
             scenario.factory, target=8, max_steps=20_000)
         shard = next(s for s in shards if s.sleep and s.prefix)
         assert assert_forward_faithful(
