@@ -143,7 +143,7 @@ class Channel:
                 if not line:
                     continue
                 try:
-                    payload, _legacy = decode_line(line)
+                    payload = decode_line(line)
                 except CorruptLine:
                     self.corrupt += 1
                     continue

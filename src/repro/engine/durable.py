@@ -13,8 +13,7 @@ the same line discipline:
 * loaders never raise on a damaged line: anything that fails to parse or
   fails its CRC is **quarantined** — appended once to a ``.rejected``
   sidecar next to the log — counted in :class:`LineDiagnostics`, and
-  skipped.  Legacy lines written before this format (no ``crc`` field)
-  still load.
+  skipped.  A line without a ``crc`` is damage like any other.
 """
 
 from __future__ import annotations
@@ -40,19 +39,17 @@ class CorruptLine(ValueError):
 
 @dataclass
 class LineDiagnostics:
-    """What a tolerant load saw: kept, quarantined, legacy counts."""
+    """What a tolerant load saw: kept and quarantined counts."""
 
     total: int = 0
     loaded: int = 0
     corrupt: int = 0
-    legacy: int = 0
     rejected_path: Optional[str] = None
 
     def note(self, other: "LineDiagnostics") -> None:
         self.total += other.total
         self.loaded += other.loaded
         self.corrupt += other.corrupt
-        self.legacy += other.legacy
         self.rejected_path = other.rejected_path or self.rejected_path
 
 
@@ -73,12 +70,13 @@ def encode_line(payload: Dict) -> str:
     return canonical(framed)
 
 
-def decode_line(line: str) -> Tuple[Dict, bool]:
+def decode_line(line: str) -> Dict:
     """Parse one line back to its payload.
 
-    Returns ``(payload, legacy)`` where ``legacy`` flags a pre-format
-    line that carried no CRC.  Raises :class:`CorruptLine` on anything
-    unparseable or CRC-mismatched.
+    Raises :class:`CorruptLine` on anything unparseable, CRC-less or
+    CRC-mismatched: a record without a CRC could carry any damage
+    unverified (a single bit-flip in the "crc" *key* would otherwise
+    load it verbatim).
     """
     try:
         data = json.loads(line)
@@ -87,18 +85,12 @@ def decode_line(line: str) -> Tuple[Dict, bool]:
     if not isinstance(data, dict):
         raise CorruptLine("JSONL line is not an object")
     if "crc" not in data:
-        if "v" in data:
-            # A versioned record always carries a CRC; one without it
-            # is damage wearing a legacy disguise (a single bit-flip in
-            # the "crc" *key* would otherwise load the record verbatim,
-            # unverified — found by the byte-flip property test).
-            raise CorruptLine("versioned record without a CRC")
-        return data, True
+        raise CorruptLine("record without a CRC")
     crc = data.pop("crc")
     data.pop("v", None)
     if _crc(data) != crc:
         raise CorruptLine("CRC mismatch (torn or bit-rotted line)")
-    return data, False
+    return data
 
 
 def append_line(path: str, payload: Dict, site: str) -> None:
@@ -228,13 +220,12 @@ def read_records(path: str, quarantine: bool = True) \
                 continue
             diag.total += 1
             try:
-                payload, legacy = decode_line(line)
+                payload = decode_line(line)
             except CorruptLine:
                 diag.corrupt += 1
                 bad.append(line)
                 continue
             diag.loaded += 1
-            diag.legacy += legacy
             records.append(payload)
     if quarantine and bad:
         diag.rejected_path = _quarantine(path, bad)

@@ -165,7 +165,7 @@ def _scan_lines(path: str) -> Tuple[List[Tuple[str, Optional[Dict],
         if not line:
             continue
         try:
-            payload, _legacy = decode_line(line)
+            payload = decode_line(line)
         except CorruptLine as err:
             rows.append((line, None, str(err)))
             continue
@@ -212,21 +212,13 @@ def audit_jsonl(path: str, repair: bool = False) \
             path, f"mixed artifact kinds in one file: {sorted(kinds)}"))
     if repair and (bad_lines or torn_tail):
         _quarantine(path, bad_lines)
-        text = "".join(encode_line(_strip_frame(p)) + "\n"
-                       for p in intact)
+        text = "".join(encode_line(p) + "\n" for p in intact)
         vfs_mod.atomic_write_bytes(path, text.encode("utf-8"),
                                    site="fsck.repair")
         for finding in findings:
             if finding.repairable:
                 finding.repaired = True
     return findings, intact, len(rows)
-
-
-def _strip_frame(payload: Dict) -> Dict:
-    data = dict(payload)
-    data.pop("v", None)
-    data.pop("crc", None)
-    return data
 
 
 def audit_summary(path: str, repair: bool = False) -> List[Finding]:

@@ -129,11 +129,11 @@ class JobStore:
             try:
                 self._apply(payload)
             except (KeyError, TypeError, ValueError):
-                # A parseable record with broken fields (a legacy line
-                # carries no CRC, so a bit-flip can stay valid JSON):
-                # count it like any corrupt line rather than refusing
-                # to open the store.  Live mutations stay strict —
-                # only replay tolerates damage.
+                # A record that passed its CRC but whose fields do not
+                # apply (written by a buggy or foreign writer): count it
+                # like any corrupt line rather than refusing to open
+                # the store.  Live mutations stay strict — only replay
+                # tolerates damage.
                 self.diagnostics.loaded -= 1
                 self.diagnostics.corrupt += 1
 

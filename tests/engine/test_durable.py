@@ -1,9 +1,11 @@
 """Durable JSONL framing: CRC tags, torn writes, quarantine on load."""
 
 import os
+import socket
 
 import pytest
 
+from repro.engine.dist.protocol import Channel
 from repro.engine.durable import (REJECTED_SUFFIX, CorruptLine,
                                   append_line, canonical, decode_line,
                                   encode_line, read_records,
@@ -15,14 +17,26 @@ class TestLineFraming:
     def test_round_trip(self):
         payload = {"shard": 3, "report": {"executions": 9}}
         line = encode_line(payload)
-        decoded, legacy = decode_line(line)
-        assert decoded == payload
-        assert not legacy
+        assert decode_line(line) == payload
 
-    def test_legacy_line_without_crc_loads(self):
-        decoded, legacy = decode_line('{"shard": 1}')
-        assert decoded == {"shard": 1}
-        assert legacy
+    def test_line_without_crc_is_corrupt(self):
+        with pytest.raises(CorruptLine):
+            decode_line('{"shard": 1}')
+
+    def test_channel_drops_a_frame_without_crc(self):
+        """Every frame on the wire is CRC-checked: one without a CRC is
+        counted and skipped, and the next intact frame comes through."""
+        ours, theirs = socket.socketpair()
+        try:
+            theirs.sendall(b'{"t": "result", "shard": 1}\n'
+                           + (encode_line({"t": "beat", "shard": 2})
+                              + "\n").encode("utf-8"))
+            ch = Channel(ours)
+            assert ch.recv(timeout=5.0) == {"t": "beat", "shard": 2}
+            assert ch.corrupt == 1
+        finally:
+            ours.close()
+            theirs.close()
 
     def test_crc_mismatch_detected(self):
         line = encode_line({"shard": 3, "n": 100})
@@ -67,6 +81,18 @@ class TestAppendAndRead:
         assert diag.rejected_path == path + REJECTED_SUFFIX
         with open(diag.rejected_path, encoding="utf-8") as fh:
             assert len(fh.readlines()) == 2
+
+    def test_line_without_crc_is_quarantined(self, tmp_path):
+        path = str(tmp_path / "log.jsonl")
+        append_line(path, {"shard": 0}, site="checkpoint.append")
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"shard": 1}\n')  # parses, but carries no CRC
+        append_line(path, {"shard": 2}, site="checkpoint.append")
+        records, diag = read_records(path)
+        assert records == [{"shard": 0}, {"shard": 2}]
+        assert (diag.total, diag.loaded, diag.corrupt) == (3, 2, 1)
+        with open(diag.rejected_path, encoding="utf-8") as fh:
+            assert fh.readlines() == ['{"shard": 1}\n']
 
     def test_quarantine_is_idempotent(self, tmp_path):
         path = str(tmp_path / "log.jsonl")
