@@ -102,13 +102,6 @@ class StyleTally:
             self.failing_traces.extend(other.failing_traces[:room])
         return self
 
-    def __add__(self, other: "StyleTally") -> "StyleTally":
-        out = StyleTally(checked=self.checked, failed=self.failed,
-                         examples=list(self.examples),
-                         failing_traces=[list(t) for t in
-                                         self.failing_traces])
-        return out.merge(other)
-
     @property
     def ok(self) -> bool:
         return self.failed == 0
@@ -173,7 +166,7 @@ class ScenarioReport:
             if style in self.styles:
                 self.styles[style].merge(tally)
             else:
-                self.styles[style] = tally + StyleTally()
+                self.styles[style] = StyleTally().merge(tally)
         self.outcome_failures += other.outcome_failures
         room = EXAMPLE_CAP - len(self.outcome_examples)
         if room > 0:
@@ -182,23 +175,6 @@ class ScenarioReport:
         for key, val in other.metrics.items():
             self.metrics[key] = self.metrics.get(key, 0) + val
         return self
-
-    def __add__(self, other: "ScenarioReport") -> "ScenarioReport":
-        out = ScenarioReport(scenario=self.scenario, exhausted=self.exhausted)
-        out.budget_exhausted = self.budget_exhausted
-        out.pruned_subtrees = self.pruned_subtrees
-        out.styles = {s: t + StyleTally() for s, t in self.styles.items()}
-        out.executions = self.executions
-        out.complete = self.complete
-        out.truncated = self.truncated
-        out.raced = self.raced
-        out.steps = self.steps
-        out.seconds = self.seconds
-        out.outcome_failures = self.outcome_failures
-        out.outcome_examples = list(self.outcome_examples)
-        out.outcome_traces = [list(t) for t in self.outcome_traces]
-        out.metrics = dict(self.metrics)
-        return out.merge(other)
 
     def summary(self) -> str:
         lines = [

@@ -228,12 +228,6 @@ def divergence_witness(finding: DivergenceFinding,
         divergence_path=finding.path)
 
 
-def params_from_fingerprint(data: Dict[str, Any]):
-    """Rebuild result-determining `EngineParams` from a witness entry."""
-    from .pool import EngineParams
-    return EngineParams.from_wire(data)
-
-
 def replay_divergence(entry: CorpusEntry,
                       scenario=None) -> ReplayOutcome:
     """Re-execute a divergence witness's shard and confirm the verdict.
@@ -243,7 +237,7 @@ def replay_divergence(entry: CorpusEntry,
     the recorded *observed* fingerprint differs — i.e. the original
     divergent result really was the outlier.
     """
-    from .pool import _explore_shard  # circular at module load
+    from .pool import EngineParams, _explore_shard  # circular at load
     if entry.shard is None or entry.params is None:
         return ReplayOutcome(entry, False,
                              "divergence entry missing its shard or "
@@ -254,7 +248,7 @@ def replay_divergence(entry: CorpusEntry,
                                  "entry has no scenario spec; pass the "
                                  "scenario explicitly")
         scenario = build_scenario(entry.spec)
-    params = params_from_fingerprint(entry.params)
+    params = EngineParams.from_wire(entry.params)
     report, _entries = _explore_shard(scenario, entry.spec, entry.shard,
                                       params)
     fresh = report_fingerprint(report)

@@ -1,8 +1,8 @@
 """Merging and (de)serialization of per-shard partial reports.
 
 The merge *operations* live on the report types themselves
-(`StyleTally.merge`, `ScenarioReport.merge` — both also support ``+``);
-this module supplies the engine-side plumbing around them:
+(`StyleTally.merge`, `ScenarioReport.merge`); this module supplies the
+engine-side plumbing around them:
 
 * :func:`merge_reports` — fold per-shard partials **in shard order**,
   which is what makes capped example lists deterministic: the serial
@@ -16,7 +16,7 @@ this module supplies the engine-side plumbing around them:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
 from ..checking.runner import ScenarioReport, StyleTally
 from ..core.spec_styles import SpecStyle
@@ -25,18 +25,19 @@ from ..core.spec_styles import SpecStyle
 def merge_reports(scenario_name: str,
                   partials: Iterable[ScenarioReport],
                   exhaustive: bool) -> ScenarioReport:
-    """Fold shard-ordered partial reports into one scenario report."""
-    merged: Optional[ScenarioReport] = None
+    """Fold shard-ordered partial reports into one scenario report.
+
+    The merged report shares the parts' trace lists; nothing mutates a
+    trace.  With no parts at all, ``exhausted`` is the run's own
+    ``exhaustive``.
+    """
+    merged = ScenarioReport(scenario=scenario_name, exhausted=True)
+    empty = True
     for part in partials:
-        if merged is None:
-            merged = part + ScenarioReport(scenario=part.scenario,
-                                           exhausted=True)
-        else:
-            merged.merge(part)
-    if merged is None:
-        merged = ScenarioReport(scenario=scenario_name)
+        merged.merge(part)
+        empty = False
+    if empty:
         merged.exhausted = exhaustive
-    merged.scenario = scenario_name
     return merged
 
 
