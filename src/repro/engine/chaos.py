@@ -400,11 +400,15 @@ def build_dist_cases() -> List[DistChaosCase]:
                                   shard=2, attempt=1),)),
             want_counter="nodes_lost"),
         # Duplicate delivery: the second copy presents a settled lease's
-        # token and must be fenced off, not double-counted.
+        # token and must be fenced off, not double-counted.  The last of
+        # the 4 shards is held for 1 s, so the duplicate is read before
+        # the run can settle.
         DistChaosCase(
             name="dist/duplicate-result",
             plan=FaultPlan((Fault("net.send.result", "duplicate",
-                                  shard=1, attempt=1),)),
+                                  shard=1, attempt=1),
+                            Fault("hedge.slow_worker", "delay", shard=3,
+                                  attempt=1, delay_seconds=1.0))),
             want_counter="results_fenced"),
     ]
 
