@@ -1,6 +1,12 @@
 """E2/E7: the spec-satisfaction matrix and the effort table (fast cuts)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.checking import (Implementation, default_implementations,
                             effort_table, render_table, run_matrix)
@@ -10,8 +16,7 @@ from repro.libs import HWQueue, MSQueue, RELACQ
 from repro.tools.loc import count_file, count_tree, summarize
 
 
-@pytest.fixture(scope="module")
-def small_matrix():
+def small_run(workers=1):
     impls = [
         Implementation("ms-queue/ra", "queue",
                        lambda mem: MSQueue.setup(mem, "q", RELACQ)),
@@ -20,7 +25,12 @@ def small_matrix():
     ]
     return run_matrix(implementations=impls,
                       workloads=((2, 3, 0), (3, 3, 1)),
-                      runs=60, exhaustive_small=False)
+                      runs=60, exhaustive_small=False, workers=workers)
+
+
+@pytest.fixture(scope="module")
+def small_matrix():
+    return small_run()
 
 
 class TestMatrix:
@@ -40,6 +50,33 @@ class TestMatrix:
     def test_render(self, small_matrix):
         text = small_matrix.render()
         assert "ms-queue/ra" in text and "LAT_hb" in text
+
+    def test_two_workers_match_serial(self, small_matrix):
+        """The randomized cells fan out over a process pool and merge in
+        a fixed order: the matrix equals the serial one."""
+        fanned = small_run(workers=2)
+        assert fanned.render() == small_matrix.render()
+        assert fanned.rows == small_matrix.rows
+
+    def test_serial_matrix_imports_no_engine(self):
+        """A serial matrix stays on `check_scenario`'s own loop: loading
+        the engine would grow every random-matrix process's RSS."""
+        code = (
+            "import sys\n"
+            "from repro.checking import default_implementations, "
+            "run_matrix\n"
+            "impls = [i for i in default_implementations()\n"
+            "         if i.name == 'ms-queue/ra']\n"
+            "run_matrix(implementations=impls, workloads=((2, 2, 0),),\n"
+            "           runs=5, exhaustive_small=False)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('repro.engine')))\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        assert out.stdout.strip() == "[]"
 
     def test_default_implementations_cover_paper(self):
         names = {i.name for i in default_implementations()}
